@@ -119,11 +119,10 @@ impl EgnnLayer {
         h: Var,
         x: Var,
     ) -> (Var, Var) {
+        // An edge-free batch still takes the node update h' = h + φ_h(h ‖ 0),
+        // as its atoms would in a batch with edges elsewhere: a structure's
+        // output must not depend on what it is batched with.
         let n = input.num_nodes();
-        if input.num_edges() == 0 {
-            // Isolated atoms: no messages; h and x pass through unchanged.
-            return (h, x);
-        }
 
         if fused_edges() {
             // Fused edge pipeline: the same math in one sweep per stage —
@@ -356,20 +355,48 @@ mod tests {
     }
 
     #[test]
-    fn isolated_atoms_pass_through() {
+    fn edge_free_structure_alone_matches_its_batched_row() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut ps = ParamSet::new();
         let enc = EgnnEncoder::new(&mut ps, EgnnConfig::small(8), &mut rng);
-        // One atom, no edges.
-        let graph = matsciml_graph::MaterialGraph::new(vec![2], vec![Vec3::zero()]);
-        let input = ModelInput::from_batched(&BatchedGraph::from_graphs(&[graph]));
-        let mut g = Graph::new();
-        let mut ctx = ForwardCtx::eval();
-        let emb = enc.encode(&mut g, &ps, &mut ctx, &input);
-        // Sum pooling over one node = the raw species embedding.
-        let table_row = ps.value(enc.embedding.table).row(2).to_vec();
-        for (a, b) in g.value(emb).as_slice().iter().zip(&table_row) {
-            assert!((a - b).abs() < 1e-6);
+        // Two atoms 5 Å apart: no edge within the 2 Å cutoff.
+        let edge_free = radius_graph(
+            vec![2, 3],
+            vec![Vec3::zero(), Vec3::new(5.0, 0.0, 0.0)],
+            2.0,
+            None,
+        );
+        assert_eq!(edge_free.num_edges(), 0);
+        let connected = radius_graph(
+            vec![0, 1, 2],
+            vec![Vec3::zero(), Vec3::new(1.0, 0.0, 0.0), Vec3::new(0.0, 1.1, 0.0)],
+            2.0,
+            None,
+        );
+        let embed = |graphs: &[matsciml_graph::MaterialGraph]| -> Vec<u32> {
+            let input = ModelInput::from_batched(&BatchedGraph::from_graphs(graphs));
+            let mut g = Graph::new();
+            let emb = enc.encode(&mut g, &ps, &mut ForwardCtx::eval(), &input);
+            g.value(emb).as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+
+        // Both lowerings: the generic composition, then the fused default
+        // (left on afterwards). The two are bit-exact, so flipping the
+        // process-wide switch cannot change another test's results.
+        for fused in [false, true] {
+            matsciml_nn::set_fused_edges(fused);
+            let alone = embed(&[edge_free.clone()]);
+            let batched = embed(&[edge_free.clone(), connected.clone()]);
+            assert_eq!(alone, batched[..alone.len()], "fused = {fused}");
+            // The node update ran: the readout is not the raw embedding sum.
+            let table = ps.value(enc.embedding.table);
+            let raw: Vec<u32> = table
+                .row(2)
+                .iter()
+                .zip(table.row(3))
+                .map(|(a, b)| (a + b).to_bits())
+                .collect();
+            assert_ne!(alone, raw, "fused = {fused}");
         }
     }
 

@@ -15,6 +15,16 @@
 //! does not. Determinism never depends on this gate: every parallel
 //! kernel in the crate is bit-identical to its serial form by
 //! construction, so the gate is purely a performance heuristic.
+//!
+//! The gate tests the work estimate first, so the many kernel calls below
+//! their minimum never consult the pool. The pool size itself is computed
+//! once per process, and a kernel that passes the gate runs its blocks on
+//! the persistent rayon worker pool (`third_party/rayon`): the calling
+//! thread runs the first block and hands the others only to workers idle
+//! at that moment. A kernel called inside a rank-parallel fold therefore
+//! runs inline when the fold already holds every worker — the nesting
+//! never oversubscribes cores — and, by the contract above, its result
+//! does not depend on which way it ran.
 
 /// Below this many *output elements* a bandwidth-bound elementwise or
 /// scatter kernel (`kernels.rs` slice kernels, `rows.rs` scatters) runs
@@ -38,15 +48,16 @@ pub(crate) const PAR_MIN_FLOPS: usize = 1 << 20;
 /// pool actually has more than one thread.
 #[inline]
 pub(crate) fn par_gate(work: usize, min: usize) -> bool {
-    gate_with_threads(work, min, rayon::current_num_threads())
+    gate_with_threads(work, min, rayon::current_num_threads)
 }
 
-/// [`par_gate`] with the thread count passed explicitly (unit-testable
+/// [`par_gate`] with the thread count supplied by the caller (unit-testable
 /// on any host, including single-core CI where `par_gate` itself can
-/// never return `true`).
+/// never return `true`). `threads` is called only when the work meets
+/// the minimum.
 #[inline]
-pub(crate) fn gate_with_threads(work: usize, min: usize, threads: usize) -> bool {
-    work >= min && threads > 1
+pub(crate) fn gate_with_threads(work: usize, min: usize, threads: impl FnOnce() -> usize) -> bool {
+    work >= min && threads() > 1
 }
 
 #[cfg(test)]
@@ -56,17 +67,23 @@ mod tests {
     #[test]
     fn gate_opens_exactly_at_each_documented_threshold() {
         for &min in &[PAR_MIN_ELEMS, PAR_MIN_GATHER_ELEMS, PAR_MIN_FLOPS] {
-            assert!(!gate_with_threads(min - 1, min, 8), "below {min} must stay serial");
-            assert!(gate_with_threads(min, min, 8), "at {min} must go parallel");
-            assert!(gate_with_threads(min + 1, min, 8), "above {min} must go parallel");
+            assert!(!gate_with_threads(min - 1, min, || 8), "below {min} must stay serial");
+            assert!(gate_with_threads(min, min, || 8), "at {min} must go parallel");
+            assert!(gate_with_threads(min + 1, min, || 8), "above {min} must go parallel");
         }
     }
 
     #[test]
     fn gate_never_opens_without_a_second_thread() {
-        assert!(!gate_with_threads(usize::MAX, PAR_MIN_ELEMS, 1));
-        assert!(!gate_with_threads(usize::MAX, PAR_MIN_FLOPS, 0));
-        assert!(gate_with_threads(usize::MAX, PAR_MIN_FLOPS, 2));
+        assert!(!gate_with_threads(usize::MAX, PAR_MIN_ELEMS, || 1));
+        assert!(!gate_with_threads(usize::MAX, PAR_MIN_FLOPS, || 0));
+        assert!(gate_with_threads(usize::MAX, PAR_MIN_FLOPS, || 2));
+    }
+
+    #[test]
+    fn gate_below_its_minimum_never_asks_for_the_thread_count() {
+        let never = || -> usize { panic!("thread count read below the minimum") };
+        assert!(!gate_with_threads(PAR_MIN_ELEMS - 1, PAR_MIN_ELEMS, never));
     }
 
     #[test]
@@ -81,7 +98,7 @@ mod tests {
         let threads = rayon::current_num_threads();
         assert_eq!(
             par_gate(PAR_MIN_ELEMS, PAR_MIN_ELEMS),
-            gate_with_threads(PAR_MIN_ELEMS, PAR_MIN_ELEMS, threads)
+            gate_with_threads(PAR_MIN_ELEMS, PAR_MIN_ELEMS, || threads)
         );
     }
 }

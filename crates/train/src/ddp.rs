@@ -404,7 +404,7 @@ pub(crate) fn ddp_step_input(
     // tree below depend only on world_size — so parallel and sequential
     // execution sum in the same bracketing and agree bit-for-bit.
     let state = &mut tapes.slots[..slots];
-    if cfg.parallel && rayon::current_num_threads() > 1 {
+    if cfg.parallel {
         state.par_chunks_mut(1).enumerate().for_each(|(slot, chunk)| {
             let s = &mut chunk[0];
             s.out = Some(fold_group(slot, &mut s.graph));

@@ -354,7 +354,7 @@ fn ddp_step_overlapped_input(
                 local.as_ref(),
             );
         };
-        if cfg.parallel && rayon::current_num_threads() > 1 {
+        if cfg.parallel {
             work.par_chunks_mut(1)
                 .enumerate()
                 .for_each(|(slot, chunk)| run_slot(slot, &mut chunk[0]));

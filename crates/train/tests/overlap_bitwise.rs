@@ -10,9 +10,14 @@
 //! `ddp/exposed_comm_ms`, and `ddp/overlapped_comm_ms` histograms appear
 //! in the run-record summary, and `data/prefetch_hit` counts the
 //! prefetcher's front-of-queue hits.
+//!
+//! A third test runs world-2 steps in which one rank's whole batch is a
+//! structure with no edge within the cutoff: its tape must touch the same
+//! parameters as the other rank's, or the overlapped bucket plans differ.
 
 use matsciml_datasets::{
-    Compose, DataLoader, DatasetId, Split, SyntheticMaterialsProject, DATA_PREFETCH_HIT,
+    Compose, DataLoader, Dataset, DatasetId, Sample, Split, SyntheticMaterialsProject, Transform,
+    DATA_PREFETCH_HIT,
 };
 use matsciml_models::EgnnConfig;
 use matsciml_nn::ParamId;
@@ -128,4 +133,71 @@ fn observed_overlapped_run_reports_overlap_and_prefetch() {
         .get(DATA_PREFETCH_HIT)
         .expect("summary missing data/prefetch_hit");
     assert_eq!(hits, STEPS, "every training batch load is a prefetch hit");
+}
+
+/// An edge-free structure and a connected one, after the standard
+/// pipeline: at world 2 × 1 each rank holds one of them.
+struct EdgeFreeAndConnected([Sample; 2]);
+
+impl Dataset for EdgeFreeAndConnected {
+    fn id(&self) -> DatasetId {
+        DatasetId::MaterialsProject
+    }
+
+    fn len(&self) -> usize {
+        2
+    }
+
+    fn sample(&self, index: usize) -> Sample {
+        self.0[index].clone()
+    }
+}
+
+#[test]
+fn overlapped_step_with_an_edge_free_rank_matches_pooled_path() {
+    let pipeline = Compose::standard(4.5, Some(12));
+    let source = SyntheticMaterialsProject::new(10_000, 17);
+    let find = |edge_free: bool| {
+        (0..source.len())
+            .map(|i| pipeline.apply(source.sample(i)))
+            .find(|s| (s.graph.num_edges() == 0) == edge_free)
+            .expect("the generator makes both kinds of structure")
+    };
+    let data = EdgeFreeAndConnected([find(true), find(false)]);
+    let loader = DataLoader::new(&data, None, Split::Train, 0.0, 2, 17);
+
+    let run = |overlap: bool| {
+        let mut model = TaskModel::egnn(
+            EgnnConfig::small(8),
+            &[TaskHeadConfig::regression(DatasetId::MaterialsProject, TargetKind::BandGap, 16, 1)],
+            17,
+        );
+        let trainer = Trainer::new(TrainConfig {
+            world_size: 2,
+            per_rank_batch: 1,
+            steps: 2,
+            eval_every: 0,
+            parallel_ranks: true,
+            overlap_comm: overlap,
+            seed: 17,
+            ..Default::default()
+        });
+        let log = trainer.train(&mut model, &loader, None);
+        (log, model)
+    };
+    let (pooled_log, pooled) = run(false);
+    let (ov_log, ov) = run(true);
+
+    assert_eq!(ov_log.records.len(), 2, "both overlapped steps complete");
+    for (a, b) in pooled_log.records.iter().zip(&ov_log.records) {
+        assert_eq!(a.train.get("loss"), b.train.get("loss"), "step {}", a.step);
+        assert_eq!(a.grad_norm, b.grad_norm, "step {}", a.step);
+    }
+    for i in 0..pooled.params.len() {
+        assert_eq!(
+            pooled.params.value(ParamId(i)).as_slice(),
+            ov.params.value(ParamId(i)).as_slice(),
+            "final parameter {i} diverged"
+        );
+    }
 }

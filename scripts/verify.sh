@@ -24,6 +24,16 @@ cargo test -q
 echo "== workspace tests =="
 cargo test -q --workspace
 
+echo "== worker pool: concurrency tests and steady-state pool hits, 5x in release =="
+# Every parallel region runs on the vendored rayon's persistent worker
+# pool (third_party/README.md). Its concurrency tests and the zero-miss
+# steady-state test depend on which thread runs which block, so they are
+# repeated in optimized builds to shake out races.
+for _ in 1 2 3 4 5; do
+  cargo test -q --release -p rayon
+  cargo test -q --release -p matsciml-train --test pool_steady_state
+done
+
 echo "== tier-1: tests again with the SIMD lane tier disabled =="
 # The scalar fallback is a first-class configuration (non-x86 targets,
 # MATSCIML_SIMD=0 escape hatch) and must stay bit-identical to the

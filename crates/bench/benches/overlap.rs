@@ -1,19 +1,22 @@
 //! Sequential vs overlapped DDP step on the paper-shape E(n)-GNN.
 //!
-//! The **sequential** arm is `ddp_step_pooled`: every rank's backward
-//! completes, then the single whole-layout bucket reduction runs, then
-//! the averaged gradient scatters — all communication is exposed on the
-//! critical path.
+//! Both arms are one `ddp_step`: the flat gradient is split into
+//! size-capped parts in reverse registration order, backward hooks fold
+//! each gradient into its part, and a part is sent to the reducer the
+//! moment its last gradient is final. The arms differ only in
+//! `DdpConfig::overlap`:
 //!
-//! The **overlapped** arm is `ddp_step_overlapped`: the flat gradient is
-//! split into size-capped buckets ordered by reverse parameter-touch
-//! order, bucket-ready hooks fire from inside the backward sweep, and a
-//! dedicated comm worker tree-reduces each bucket across rank slots
-//! while earlier-layer backward still executes. The two arms are
-//! bit-identical by construction (same pairwise tree, same per-bucket
-//! combine order — only *when* a bucket reduces changes), asserted here
-//! on every reduced-loss rep and by the train crate's `overlap_bitwise`
-//! test on full trajectories.
+//! * **sequential** (`overlap: false`): the reducer runs inline after
+//!   every rank's backward completes — all communication is exposed on
+//!   the critical path;
+//! * **overlapped** (`overlap: true`): the reducer runs on a comm thread
+//!   and tree-reduces each part across rank slots while earlier-layer
+//!   backward still executes.
+//!
+//! The two arms are bit-identical by construction (same pairwise tree,
+//! same per-part combine order — only *when* a part reduces changes),
+//! asserted here on every reduced-loss rep and by the train crate's
+//! `overlap_bitwise` and `golden_digests` tests on full trajectories.
 //!
 //! Arms are timed in alternation so background load perturbs both
 //! instead of biasing one. The ≥1.2× speedup assertion only applies when
@@ -31,8 +34,7 @@ use std::time::Instant;
 use matsciml::datasets::{Dataset, DatasetId, GraphTransform, SyntheticMaterialsProject, Transform};
 use matsciml::models::EgnnConfig;
 use matsciml::train::{
-    ddp_step_overlapped, ddp_step_pooled, DdpConfig, DdpTapes, TargetKind, TaskHeadConfig,
-    TaskModel,
+    ddp_step, DdpConfig, DdpTapes, StepInput, TargetKind, TaskHeadConfig, TaskModel,
 };
 use matsciml::obs::Obs;
 use serde::Serialize;
@@ -74,12 +76,15 @@ fn main() {
     let samples: Vec<_> = (0..WORLD * PER_RANK).map(|i| t.apply(ds.sample(i))).collect();
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cfg = DdpConfig {
+    let seq = DdpConfig {
         world_size: WORLD,
         per_rank_batch: PER_RANK,
         parallel: threads > 1,
         seed: 17,
+        overlap: false,
     };
+    let ov = DdpConfig { overlap: true, ..seq };
+    let input = StepInput::Samples(&samples);
     let obs = Obs::disabled();
     let mut seq_tapes = DdpTapes::new();
     let mut ov_tapes = DdpTapes::new();
@@ -88,9 +93,9 @@ fn main() {
     // Warmup both arms (tapes and pool reach steady state), then time in
     // alternation.
     model.params.zero_grads();
-    let warm_seq = ddp_step_pooled(&mut model, &samples, &cfg, 0, &obs, &mut seq_tapes);
+    let warm_seq = ddp_step(&mut model, input, &seq, 0, &obs, &mut seq_tapes);
     model.params.zero_grads();
-    let warm_ov = ddp_step_overlapped(&mut model, &samples, &cfg, 0, &obs, &mut ov_tapes);
+    let warm_ov = ddp_step(&mut model, input, &ov, 0, &obs, &mut ov_tapes);
     assert_eq!(
         warm_seq.get("loss").unwrap().to_bits(),
         warm_ov.get("loss").unwrap().to_bits(),
@@ -104,12 +109,12 @@ fn main() {
         let step = rep as u64 + 1;
         model.params.zero_grads();
         let t0 = Instant::now();
-        let m_seq = ddp_step_pooled(&mut model, &samples, &cfg, step, &obs, &mut seq_tapes);
+        let m_seq = ddp_step(&mut model, input, &seq, step, &obs, &mut seq_tapes);
         seq_times.push(t0.elapsed().as_secs_f64());
 
         model.params.zero_grads();
         let t0 = Instant::now();
-        let m_ov = ddp_step_overlapped(&mut model, &samples, &cfg, step, &obs, &mut ov_tapes);
+        let m_ov = ddp_step(&mut model, input, &ov, step, &obs, &mut ov_tapes);
         ov_times.push(t0.elapsed().as_secs_f64());
 
         let (a, b) = (m_seq.get("loss").unwrap(), m_ov.get("loss").unwrap());

@@ -93,7 +93,6 @@ fn run_symmetry(
         early_stop: None,
         skip_nonfinite_updates: false,
         overlap_comm: false,
-        prefetch_data: false,
         checkpoint_every: 0,
         checkpoint_dir: None,
         readahead_threads: 0,
@@ -172,7 +171,6 @@ fn run_multitask_norm(name: &str, norm: NormKind, steps: u64, scale: Scale) -> O
         early_stop: None,
         skip_nonfinite_updates: false,
         overlap_comm: false,
-        prefetch_data: false,
         checkpoint_every: 0,
         checkpoint_dir: None,
         readahead_threads: 0,

@@ -51,7 +51,6 @@ fn run(world: usize, base_lr: f32, steps: u64, scale: Scale) -> RunResult {
         early_stop: None,
         skip_nonfinite_updates: false,
         overlap_comm: false,
-        prefetch_data: false,
         checkpoint_every: 0,
         checkpoint_dir: None,
         readahead_threads: 0,

@@ -62,7 +62,6 @@ fn train_run(
         early_stop: None,
         skip_nonfinite_updates: false,
         overlap_comm: false,
-        prefetch_data: false,
         checkpoint_every: 0,
         checkpoint_dir: None,
         readahead_threads: 0,

@@ -112,7 +112,6 @@ fn train_run(pretrained: Option<&TaskModel>, steps: u64, base_lr: f32, scale: Sc
         early_stop: None,
         skip_nonfinite_updates: false,
         overlap_comm: false,
-        prefetch_data: false,
         checkpoint_every: 0,
         checkpoint_dir: None,
         readahead_threads: 0,

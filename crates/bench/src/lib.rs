@@ -180,7 +180,6 @@ pub fn pretrained_model(scale: Scale) -> (TaskModel, TrainLog) {
         early_stop: None,
         skip_nonfinite_updates: false,
         overlap_comm: false,
-        prefetch_data: false,
         checkpoint_every: 0,
         checkpoint_dir: None,
         readahead_threads: 0,

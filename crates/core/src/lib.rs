@@ -97,7 +97,7 @@ pub mod prelude {
     };
     pub use matsciml_ckpt::{CkptError, CkptReader, CkptWriter};
     pub use matsciml_train::{
-        collate, ddp::ddp_step, ddp::ddp_step_observed, ddp::DdpConfig, load_infer_model,
+        collate, ddp::ddp_step, ddp::DdpConfig, ddp::DdpTapes, ddp::StepInput, load_infer_model,
         save_quantized_checkpoint, sweep::run_sweep, sweep::run_sweep_observed, sweep::SweepGrid,
         sweep::Trial, target_stats, ForceFieldModel, throughput, EncoderKind, InferModel,
         InferenceServer, LossKind, MetricMap, EarlyStop, ServeConfig, ServeError, TargetKind,

@@ -1,9 +1,7 @@
-//! Splitting, shuffling, and batched loading — with two tiers of
-//! background materialization. [`Prefetcher`] is the original
-//! double-buffer: one thread builds batch *i+1* while batch *i* trains.
-//! [`ReadAhead`] generalizes it for streamed corpora: N worker threads
-//! drain a request queue into a bounded result channel, and the front
-//! end reassembles completed batches into schedule order, so the batch
+//! Splitting, shuffling, and batched loading — with background
+//! materialization. [`ReadAhead`] runs N worker threads that drain a
+//! request queue into a bounded result channel, and the front end
+//! reassembles completed batches into schedule order, so the batch
 //! stream is **bit-identical regardless of worker count** (asserted in
 //! `tests/stream_determinism.rs`).
 //!
@@ -17,7 +15,7 @@
 //! the corpus is sharded.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 
 use rand::rngs::StdRng;
@@ -27,11 +25,6 @@ use rand::SeedableRng;
 use crate::sample::{Dataset, Sample};
 use crate::transform::Transform;
 
-/// Counter name for batches served from the prefetch queue.
-pub const DATA_PREFETCH_HIT: &str = "data/prefetch_hit";
-/// Counter name for batches that missed the prefetch queue and loaded
-/// synchronously.
-pub const DATA_PREFETCH_MISS: &str = "data/prefetch_miss";
 /// Counter name for batches served from the read-ahead pipeline.
 pub const DATA_READAHEAD_HIT: &str = "data/readahead_hit";
 /// Counter name for batches that bypassed read-ahead (not requested in
@@ -219,30 +212,6 @@ impl<'d> DataLoader<'d> {
         samples
     }
 
-    /// Spawn a background prefetch worker on `scope`, returning its
-    /// double-buffering front end. The worker runs [`Self::load`] for every
-    /// requested batch, so prefetched samples are **identical** to
-    /// synchronously loaded ones (transforms are deterministic by
-    /// contract); only who pays the materialization cost changes.
-    pub fn spawn_prefetcher<'s>(
-        &'s self,
-        scope: &'s std::thread::Scope<'s, '_>,
-    ) -> Prefetcher {
-        let (req_tx, req_rx) = std::sync::mpsc::channel::<Vec<usize>>();
-        let (res_tx, res_rx) = std::sync::mpsc::channel::<(Vec<usize>, Vec<Sample>)>();
-        scope.spawn(move || {
-            for batch in req_rx {
-                let samples = self.load(&batch);
-                // A dropped front end ends the loop on the next recv; a
-                // failed send just means no one wants this batch anymore.
-                if res_tx.send((batch, samples)).is_err() {
-                    break;
-                }
-            }
-        });
-        Prefetcher { req_tx, res_rx, queued: VecDeque::new() }
-    }
-
     /// Spawn a multi-worker read-ahead pipeline on `scope`.
     ///
     /// `threads` workers drain a shared request queue (each running
@@ -324,56 +293,6 @@ impl<'d> DataLoader<'d> {
             next_seq: 0,
             workers,
             stage,
-        }
-    }
-}
-
-/// Front end of a [`DataLoader`] prefetch worker
-/// (see [`DataLoader::spawn_prefetcher`]).
-///
-/// The intended cadence is strict FIFO double-buffering: `request(i+1)`
-/// then `take(i)` each step, so the worker materializes the next batch
-/// while the current one trains. Takes that arrive out of request order
-/// fall back to a synchronous load (counted under
-/// [`DATA_PREFETCH_MISS`]) rather than stalling. Dropping the front end
-/// shuts the worker down; the scope joins it.
-pub struct Prefetcher {
-    req_tx: Sender<Vec<usize>>,
-    res_rx: Receiver<(Vec<usize>, Vec<Sample>)>,
-    queued: VecDeque<Vec<usize>>,
-}
-
-impl Prefetcher {
-    /// Queue `batch` for background materialization.
-    pub fn request(&mut self, batch: &[usize]) {
-        self.queued.push_back(batch.to_vec());
-        self.req_tx.send(batch.to_vec()).expect("prefetch worker alive");
-    }
-
-    /// Retrieve `batch`: from the prefetch queue when it is the oldest
-    /// outstanding request (a *hit* — only the blocking wait is timed
-    /// under [`matsciml_obs::Phase::Data`]), otherwise via a synchronous
-    /// [`DataLoader::load_observed`] (a *miss*). Counts
-    /// [`DATA_PREFETCH_HIT`] / [`DATA_PREFETCH_MISS`] and
-    /// `data/samples_loaded` when `obs` is enabled.
-    pub fn take_observed(
-        &mut self,
-        loader: &DataLoader<'_>,
-        batch: &[usize],
-        obs: &matsciml_obs::Obs,
-    ) -> Vec<Sample> {
-        if self.queued.front().map(|q| q[..] == *batch) == Some(true) {
-            self.queued.pop_front();
-            let span = obs.span(matsciml_obs::Phase::Data);
-            let (got, samples) = self.res_rx.recv().expect("prefetch worker alive");
-            drop(span);
-            debug_assert_eq!(got[..], *batch, "responses arrive in request order");
-            obs.count(DATA_PREFETCH_HIT, 1);
-            obs.count("data/samples_loaded", batch.len() as u64);
-            samples
-        } else {
-            obs.count(DATA_PREFETCH_MISS, 1);
-            loader.load_observed(batch, obs)
         }
     }
 }
@@ -562,52 +481,6 @@ mod tests {
         assert!(batch.iter().all(|s| s.graph.num_edges() > 0), "graphs must be wired");
         let raw = dl.dataset.sample(0);
         assert_eq!(raw.graph.num_edges(), 0, "dataset itself stays point-cloud");
-    }
-
-    #[test]
-    fn prefetched_batches_equal_synchronous_loads() {
-        let ds = SyntheticMaterialsProject::new(40, 5);
-        let pipeline = Compose::standard(9.0, Some(12));
-        let dl = DataLoader::new(&ds, Some(&pipeline), Split::Train, 0.0, 4, 7);
-        let schedule = dl.epoch_batches(0);
-        let obs = matsciml_obs::Obs::disabled();
-        std::thread::scope(|scope| {
-            let mut pf = dl.spawn_prefetcher(scope);
-            pf.request(&schedule[0]);
-            for (i, batch) in schedule.iter().enumerate() {
-                if i + 1 < schedule.len() {
-                    pf.request(&schedule[i + 1]);
-                }
-                let pre = pf.take_observed(&dl, batch, &obs);
-                let sync = dl.load(batch);
-                assert_eq!(pre.len(), sync.len());
-                for (a, b) in pre.iter().zip(&sync) {
-                    assert_eq!(
-                        serde_json::to_string(a).unwrap(),
-                        serde_json::to_string(b).unwrap(),
-                        "prefetched sample must equal the synchronous load"
-                    );
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn prefetch_counts_hits_and_falls_back_on_out_of_order_takes() {
-        let ds = SyntheticMaterialsProject::new(16, 2);
-        let dl = DataLoader::new(&ds, None, Split::Train, 0.0, 4, 1);
-        let schedule = dl.epoch_batches(0);
-        let obs = matsciml_obs::Obs::null();
-        std::thread::scope(|scope| {
-            let mut pf = dl.spawn_prefetcher(scope);
-            pf.request(&schedule[0]);
-            pf.request(&schedule[1]);
-            let _hit = pf.take_observed(&dl, &schedule[0], &obs);
-            // Out of order: batch 2 was never requested → synchronous miss.
-            let _miss = pf.take_observed(&dl, &schedule[2], &obs);
-        });
-        assert_eq!(obs.counter(DATA_PREFETCH_HIT), 1);
-        assert_eq!(obs.counter(DATA_PREFETCH_MISS), 1);
     }
 
     #[test]

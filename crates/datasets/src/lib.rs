@@ -43,8 +43,8 @@ mod synthetic;
 mod transform;
 
 pub use dataloader::{
-    readahead_enabled, DataLoader, Prefetcher, ReadAhead, ShuffleMode, Split, DATA_PREFETCH_HIT,
-    DATA_PREFETCH_MISS, DATA_READAHEAD_DEPTH, DATA_READAHEAD_HIT, DATA_READAHEAD_MISS,
+    readahead_enabled, DataLoader, ReadAhead, ShuffleMode, Split, DATA_READAHEAD_DEPTH,
+    DATA_READAHEAD_HIT, DATA_READAHEAD_MISS,
 };
 pub use file::{JsonlDataset, JsonlStream};
 pub use shard::{ShardError, ShardFileInfo, ShardReader, ShardWriter};

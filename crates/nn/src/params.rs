@@ -122,27 +122,10 @@ impl ParamSet {
         BucketLayout::from_numels(&numels)
     }
 
-    /// Accumulate a reduced flat gradient bucket into the per-parameter
-    /// accumulators, scaled: the final scatter of the bucketed allreduce.
-    pub fn absorb_flat(&mut self, bucket: &GradBucket, scale: f32) {
-        assert_eq!(
-            bucket.layout().num_spans(),
-            self.grads.len(),
-            "absorb_flat: bucket layout does not match parameter count"
-        );
-        for (i, g) in self.grads.iter_mut().enumerate() {
-            let src = bucket.span_slice(i);
-            assert_eq!(src.len(), g.numel(), "absorb_flat: span {i} size mismatch");
-            matsciml_tensor::kernels::axpy(g.as_mut_slice(), src, scale);
-        }
-    }
-
     /// Accumulate one reduced bucket of a partitioned layout into the
-    /// per-parameter accumulators: span `i` of `bucket` lands in parameter
-    /// `param_ids[i]`. Per-span this is the same `axpy` as
-    /// [`ParamSet::absorb_flat`], so scattering every part of a
-    /// [`crate::bucket::PartitionedLayout`] is bit-identical to one
-    /// whole-layout `absorb_flat`.
+    /// per-parameter accumulators, scaled — the final scatter of the
+    /// bucketed allreduce: span `i` of `bucket` lands in parameter
+    /// `param_ids[i]` as one `axpy`.
     pub fn absorb_flat_part(&mut self, param_ids: &[usize], bucket: &GradBucket, scale: f32) {
         assert_eq!(
             bucket.layout().num_spans(),
@@ -325,16 +308,17 @@ mod tests {
     }
 
     #[test]
-    fn absorb_flat_scatters_spans_into_grads() {
+    fn absorb_flat_part_scatters_spans_into_grads() {
         let (mut ps, a, b) = simple_store();
-        let mut bucket = GradBucket::zeros(ps.bucket_layout());
-        bucket.copy_span(0, &[2.0, 4.0]);
-        bucket.copy_span(1, &[6.0, 8.0, 10.0]);
-        ps.absorb_flat(&bucket, 0.5);
+        // One part holding both parameters in reverse order.
+        let mut bucket = GradBucket::zeros(BucketLayout::from_numels(&[3, 2]));
+        bucket.copy_span(0, &[6.0, 8.0, 10.0]);
+        bucket.copy_span(1, &[2.0, 4.0]);
+        ps.absorb_flat_part(&[1, 0], &bucket, 0.5);
         assert_eq!(ps.grad(a).as_slice(), &[1.0, 2.0]);
         assert_eq!(ps.grad(b).as_slice(), &[3.0, 4.0, 5.0]);
         // Accumulates on a second absorb rather than overwriting.
-        ps.absorb_flat(&bucket, 0.5);
+        ps.absorb_flat_part(&[1, 0], &bucket, 0.5);
         assert_eq!(ps.grad(a).as_slice(), &[2.0, 4.0]);
     }
 

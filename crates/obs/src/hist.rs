@@ -1,19 +1,25 @@
 //! Streaming histograms: p50/p95/p99 without storing samples.
 //!
 //! [`StreamingHistogram`] keeps geometrically-spaced buckets (HDR-style):
-//! bucket `i ≥ 1` covers `[g^(i-1), g^i)` for a growth factor `g`, and
-//! every value below 1.0 shares bucket 0. Quantiles are read by walking
-//! the cumulative counts and reporting the geometric midpoint of the
-//! bucket containing the target rank, so the relative error of any
-//! quantile is bounded by `√g − 1` (≈2.5% at the default `g = 1.05`)
-//! regardless of how many samples streamed through. Memory is
-//! `O(log(max/min))` buckets — a few hundred `u64`s for nanosecond-scale
-//! timings — and `observe` is O(1).
+//! bucket `i ≥ 1` covers `[f·g^(i-1), f·g^i)` for a growth factor `g`
+//! above a fixed floor `f = 1e-6`, so ratios and sub-millisecond timings
+//! resolve as finely as large values; zero (and anything below the
+//! floor) lands in bucket 0, which reports 0.
+//! Quantiles are read by walking the cumulative counts and reporting the
+//! geometric midpoint of the bucket containing the target rank, so the
+//! relative error of any quantile at or above the floor is bounded by
+//! `√g − 1` (≈2.5% at the default `g = 1.05`) regardless of how many
+//! samples streamed through. Memory is `O(log(max/f))` buckets — under a
+//! thousand `u64`s up to 1e12 — and `observe` is O(1).
 
 use serde::{Deserialize, Serialize};
 
 /// Default bucket growth factor: ~2.5% worst-case relative quantile error.
 pub const DEFAULT_GROWTH: f64 = 1.05;
+
+/// Lower edge of the geometric buckets; smaller values share the zero
+/// bucket.
+const FLOOR: f64 = 1e-6;
 
 /// A fixed-memory streaming histogram over non-negative values.
 ///
@@ -59,11 +65,11 @@ impl StreamingHistogram {
     }
 
     fn bucket_of(&self, v: f64) -> usize {
-        if v < 1.0 {
+        if v < FLOOR {
             0
         } else {
-            // v in [g^(i-1), g^i) → bucket i.
-            (v.ln() * self.inv_ln_growth).floor() as usize + 1
+            // v in [f·g^(i-1), f·g^i) → bucket i.
+            ((v / FLOOR).ln() * self.inv_ln_growth).floor() as usize + 1
         }
     }
 
@@ -122,10 +128,10 @@ impl StreamingHistogram {
             seen += c;
             if seen >= rank {
                 let mid = if b == 0 {
-                    0.5
+                    0.0
                 } else {
-                    // Geometric midpoint of [g^(b-1), g^b).
-                    self.growth.powf(b as f64 - 0.5)
+                    // Geometric midpoint of [f·g^(b-1), f·g^b).
+                    FLOOR * self.growth.powf(b as f64 - 0.5)
                 };
                 return Some(mid.clamp(self.min, self.max));
             }
@@ -219,6 +225,38 @@ mod tests {
         for q in [0.50, 0.95, 0.99] {
             assert_close(&h, &values, q, 0.03);
         }
+    }
+
+    #[test]
+    fn sub_unit_quantiles_are_within_bucket_error() {
+        // Ratios in (0, 1) — overlap fractions, hit rates — and a bimodal
+        // stream that a single sub-unit bucket would report as 0.5.
+        let mut ratios: Vec<f64> = (1..10_000).map(|i| i as f64 / 10_000.0).collect();
+        let mut bimodal = vec![0.1; 100];
+        bimodal.extend([0.9; 100]);
+        for values in [&mut ratios, &mut bimodal] {
+            let mut h = StreamingHistogram::new();
+            for &v in values.iter() {
+                h.observe(v);
+            }
+            values.sort_by(f64::total_cmp);
+            for q in [0.01, 0.10, 0.50, 0.90, 0.95, 0.99] {
+                assert_close(&h, values, q, 0.03);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_has_its_own_bucket() {
+        let mut h = StreamingHistogram::new();
+        for _ in 0..60 {
+            h.observe(0.0);
+        }
+        for _ in 0..40 {
+            h.observe(0.25);
+        }
+        assert_eq!(h.quantile(0.5), Some(0.0));
+        assert_close(&h, &[0.25], 0.95, 0.03);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! trainer hands [`collate_ranks`] to
 //! [`matsciml_datasets::DataLoader::spawn_readahead_with`] as an opaque
 //! worker-side stage, so read-ahead workers deliver fully collated
-//! per-rank [`Batch`]es ("worker-side collation"; disable with
-//! `MATSCIML_WORKER_COLLATE=0`).
+//! per-rank [`Batch`]es ("worker-side collation").
 //!
 //! [`CollateCache`] memoizes the full sample-load + collate pipeline by
 //! batch index list.
@@ -33,8 +32,8 @@ pub const DATA_COLLATE_EVICT: &str = "data/collate_evict";
 /// fallback runs the same stage inline and counts here too).
 pub const DATA_COLLATE_WORKER: &str = "data/collate_worker";
 /// Counter: per-rank batches collated inline on the training thread
-/// (the classic path — raw samples delivered, [`collate`] inside the
-/// DDP step's forward span).
+/// (the synchronous data path — raw samples delivered, [`collate`]
+/// inside the DDP step's forward span).
 pub const DATA_COLLATE_INLINE: &str = "data/collate_inline";
 /// Counter: graph-cache hits (`matsciml_graph::graph_cache_stats`
 /// surfaced into the run record by the training loop).
@@ -43,18 +42,6 @@ pub const DATA_GRAPH_CACHE_HIT: &str = "data/graph_cache_hit";
 pub const DATA_GRAPH_CACHE_MISS: &str = "data/graph_cache_miss";
 /// Counter: graph-cache LRU evictions.
 pub const DATA_GRAPH_CACHE_EVICT: &str = "data/graph_cache_evict";
-
-/// Whether the trainer may move collation onto read-ahead workers.
-/// `MATSCIML_WORKER_COLLATE=0` (or `false`/`off`) keeps collation on
-/// the training thread — the fallback lane `scripts/verify.sh` pins.
-/// Worker-side collation is bit-identical either way (collate is a
-/// pure function of the sample list); only who pays for it changes.
-pub fn worker_collate_enabled() -> bool {
-    !matches!(
-        std::env::var("MATSCIML_WORKER_COLLATE").ok().as_deref(),
-        Some("0") | Some("false") | Some("off")
-    )
-}
 
 /// A collated batch: the encoder input plus per-graph provenance and
 /// targets (heads build their own masked tensors from these).
@@ -81,7 +68,7 @@ pub fn collate(samples: &[Sample]) -> Batch {
 }
 
 /// Collate a global batch into its per-rank [`Batch`]es: consecutive
-/// `per_rank`-sized chunks, exactly the shards `ddp_step_*` would cut
+/// `per_rank`-sized chunks, exactly the shards [`crate::ddp_step`] would cut
 /// and [`collate`] itself. This is the worker-side collation stage the
 /// trainer hands to
 /// [`matsciml_datasets::DataLoader::spawn_readahead_with`] — a pure
@@ -103,7 +90,7 @@ pub fn collate_ranks(samples: &[Sample], per_rank: usize) -> Vec<Batch> {
 /// Memoizes load + [`collate`] by batch index list.
 ///
 /// Transforms are deterministic by contract (see
-/// [`matsciml_datasets::DataLoader::spawn_prefetcher`]), so the same index
+/// [`matsciml_datasets::DataLoader::spawn_readahead`]), so the same index
 /// list always materializes the same samples and the cached [`Batch`] —
 /// including the built edge CSR and inv-degree tensors inside its
 /// [`ModelInput`] — is exactly what a fresh collate would produce.

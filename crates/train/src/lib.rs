@@ -17,11 +17,11 @@
 //! * [`throughput`] measures and models scale-out throughput for the
 //!   Fig. 2 reproduction.
 //!
-//! Every run-shaped entry point ([`Trainer::train`], [`ddp::ddp_step`],
-//! [`sweep::run_sweep`], [`throughput::measure_real_threads`]) has an
-//! `_observed` variant taking a [`matsciml_obs::Obs`] handle that emits
-//! the JSONL run record documented in `docs/RUN_RECORD.md`; the plain
-//! names are thin wrappers over `Obs::disabled()`.
+//! Every run-shaped entry point ([`Trainer::train`], [`sweep::run_sweep`],
+//! [`throughput::measure_real_threads`]) has an `_observed` variant
+//! taking a [`matsciml_obs::Obs`] handle that emits the JSONL run record
+//! documented in `docs/RUN_RECORD.md`; the plain names are thin wrappers
+//! over `Obs::disabled()`. [`ddp::ddp_step`] takes the handle directly.
 
 #![warn(missing_docs)]
 
@@ -31,7 +31,6 @@ pub mod ddp;
 mod forcefield;
 mod metrics;
 mod model;
-pub mod overlap;
 pub mod serve;
 mod task;
 pub mod sweep;
@@ -43,9 +42,9 @@ pub use checkpoint::{
     TrainProgress, CKPT_BYTES_WRITTEN, CKPT_LOAD_US, CKPT_RESUME_STEP, CKPT_SAVES, CKPT_SAVE_US,
 };
 pub use collate::{
-    collate, collate_ranks, worker_collate_enabled, Batch, CollateCache, DATA_COLLATE_EVICT,
-    DATA_COLLATE_HIT, DATA_COLLATE_INLINE, DATA_COLLATE_MISS, DATA_COLLATE_WORKER,
-    DATA_GRAPH_CACHE_EVICT, DATA_GRAPH_CACHE_HIT, DATA_GRAPH_CACHE_MISS,
+    collate, collate_ranks, Batch, CollateCache, DATA_COLLATE_EVICT, DATA_COLLATE_HIT,
+    DATA_COLLATE_INLINE, DATA_COLLATE_MISS, DATA_COLLATE_WORKER, DATA_GRAPH_CACHE_EVICT,
+    DATA_GRAPH_CACHE_HIT, DATA_GRAPH_CACHE_MISS,
 };
 pub use forcefield::ForceFieldModel;
 pub use metrics::MetricMap;
@@ -58,12 +57,8 @@ pub use task::{target_stats, LossKind, TargetKind, TaskHead, TaskHeadConfig};
 pub use trainer::{EarlyStop, TrainConfig, Trainer, TrainLog, TrainRecord};
 
 pub use ddp::{
-    ddp_step, ddp_step_collated, ddp_step_observed, ddp_step_pooled, DdpConfig, DdpTapes,
-    COMM_ALLREDUCE_BYTES, COMM_GRAD_BYTES, EDGE_BYTES_SAVED, EDGE_FUSED_CALLS, SIMD_FALLBACK_HITS,
-    SIMD_HALF_OPS, SIMD_LANE_OPS,
-};
-pub use overlap::{
-    ddp_step_overlapped, ddp_step_overlapped_collated, BUCKET_CAP_BYTES, DDP_EXPOSED_COMM_MS,
-    DDP_OVERLAPPED_COMM_MS, DDP_OVERLAP_FRAC,
+    ddp_step, DdpConfig, DdpTapes, StepInput, BUCKET_CAP_BYTES, COMM_ALLREDUCE_BYTES,
+    COMM_GRAD_BYTES, DDP_EXPOSED_COMM_MS, DDP_OVERLAPPED_COMM_MS, DDP_OVERLAP_FRAC,
+    EDGE_BYTES_SAVED, EDGE_FUSED_CALLS, SIMD_FALLBACK_HITS, SIMD_HALF_OPS, SIMD_LANE_OPS,
 };
 pub use sweep::{run_sweep, run_sweep_observed, SweepGrid, Trial};

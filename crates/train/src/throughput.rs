@@ -183,20 +183,22 @@ pub fn measure_real_threads_observed(
     steps: u64,
     obs: &matsciml_obs::Obs,
 ) -> f64 {
-    use crate::ddp::{ddp_step_observed, DdpConfig};
+    use crate::ddp::{ddp_step, DdpConfig, DdpTapes, StepInput};
     let cfg = DdpConfig {
         world_size,
         per_rank_batch,
         parallel: true,
         seed: 0,
+        overlap: false,
     };
     let need = cfg.effective_batch();
     assert!(samples.len() >= need, "need at least {need} samples");
+    let mut tapes = DdpTapes::new();
     let t0 = Instant::now();
     for step in 0..steps {
         let t_step = obs.timer();
         model.params.zero_grads();
-        ddp_step_observed(model, &samples[..need], &cfg, step, obs);
+        ddp_step(model, StepInput::Samples(&samples[..need]), &cfg, step, obs, &mut tapes);
         obs.observe("throughput/step_us", (matsciml_obs::Obs::lap_ns(t_step) / 1_000) as f64);
     }
     (need as u64 * steps) as f64 / t0.elapsed().as_secs_f64()

@@ -10,10 +10,10 @@ use matsciml_opt::{AdamW, AdamWConfig, InstabilityProbe, LrSchedule, WarmupExpDe
 use serde::{Deserialize, Serialize};
 
 use crate::collate::{
-    collate_ranks, worker_collate_enabled, Batch, DATA_COLLATE_WORKER, DATA_GRAPH_CACHE_EVICT,
-    DATA_GRAPH_CACHE_HIT, DATA_GRAPH_CACHE_MISS,
+    collate_ranks, Batch, DATA_COLLATE_WORKER, DATA_GRAPH_CACHE_EVICT, DATA_GRAPH_CACHE_HIT,
+    DATA_GRAPH_CACHE_MISS,
 };
-use crate::ddp::{ddp_step_collated, ddp_step_pooled, DdpConfig, DdpTapes, COMM_ALLREDUCE_BYTES};
+use crate::ddp::{ddp_step, DdpConfig, DdpTapes, StepInput, COMM_ALLREDUCE_BYTES};
 use crate::metrics::MetricMap;
 use crate::model::TaskModel;
 
@@ -57,33 +57,26 @@ pub struct TrainConfig {
     /// the paper's runs take the hit, which is what Figs. 3/6 show.
     pub skip_nonfinite_updates: bool,
     /// Overlap the gradient allreduce under backward
-    /// ([`crate::ddp_step_overlapped`]): bucket-ready hooks ship
-    /// size-capped gradient buckets to a comm-worker thread as their last
-    /// gradient finalizes. Bit-identical trajectories to the sequential
-    /// path; only the schedule changes. Off by default.
+    /// ([`DdpConfig::overlap`]): the part reducer runs on a comm thread
+    /// while backward is still running, instead of after it.
+    /// Bit-identical trajectories either way; only the schedule changes.
+    /// Off by default.
     #[serde(default)]
     pub overlap_comm: bool,
-    /// Double-buffer the data path: a background thread prefetches batch
-    /// *i+1* while batch *i* trains
-    /// ([`matsciml_datasets::DataLoader::spawn_prefetcher`]). Prefetched
-    /// batches are identical to synchronous loads. Off by default.
-    #[serde(default)]
-    pub prefetch_data: bool,
     /// Worker threads for the multi-shard read-ahead pipeline
-    /// ([`matsciml_datasets::DataLoader::spawn_readahead`]): the data
+    /// ([`matsciml_datasets::DataLoader::spawn_readahead_with`]): the data
     /// path keeps a window of future batches requested so workers
     /// materialize them while the current batch trains. Delivery is
     /// reassembled into schedule order, so the trajectory is
     /// bit-identical for any thread count (and to the synchronous path).
-    /// 0 disables; mutually exclusive with `prefetch_data`.
-    /// `MATSCIML_READAHEAD=0` forces the synchronous fallback at runtime.
+    /// 0 disables. `MATSCIML_READAHEAD=0` forces the synchronous fallback
+    /// at runtime.
     ///
-    /// When read-ahead is on, the workers also *collate*: each delivered
-    /// item is the step's per-rank [`Batch`] list, so edge-CSR assembly
-    /// overlaps with training instead of running inline in the forward
-    /// span ([`crate::collate::collate_ranks`] is a pure function of the
+    /// The workers also *collate*: each delivered item is the step's
+    /// per-rank [`Batch`] list, so edge-CSR assembly overlaps with
+    /// training instead of running inline in the forward span
+    /// ([`crate::collate::collate_ranks`] is a pure function of the
     /// sample list, so trajectories are unchanged).
-    /// `MATSCIML_WORKER_COLLATE=0` keeps the workers sample-only.
     #[serde(default)]
     pub readahead_threads: usize,
     /// Bound on completed batches queued ahead of the trainer (the
@@ -132,7 +125,6 @@ impl Default for TrainConfig {
             early_stop: None,
             skip_nonfinite_updates: false,
             overlap_comm: false,
-            prefetch_data: false,
             readahead_threads: 0,
             readahead_depth: 0,
             checkpoint_every: 0,
@@ -305,12 +297,21 @@ struct Resume {
     progress: crate::checkpoint::TrainProgress,
 }
 
-/// What the data pipeline delivered for one step: raw samples (collated
-/// inside the DDP step, the classic path) or per-rank batches already
-/// collated by the read-ahead workers.
+/// What the data pipeline delivered for one step: raw samples from a
+/// synchronous load (collated inside the DDP step) or per-rank batches
+/// already collated by the read-ahead workers.
 enum StepData {
     Samples(Vec<Sample>),
     Collated(Vec<Batch>),
+}
+
+impl StepData {
+    fn input(&self) -> StepInput<'_> {
+        match self {
+            StepData::Samples(samples) => StepInput::Samples(samples),
+            StepData::Collated(batches) => StepInput::Collated(batches),
+        }
+    }
 }
 
 /// Schedule position `p` of the current epoch's frame, looking into the
@@ -331,11 +332,10 @@ fn visible<'a>(
 /// `bi..bi+depth`); every later one tops it up with position `bi+depth`,
 /// so request order tracks take order exactly — across epoch boundaries
 /// too, since positions past this epoch's end resolve into `next_sched`,
-/// which becomes the next `sched`. Generic over the worker stage's output
-/// so the sample and worker-collated pipelines share one window walk.
+/// which becomes the next `sched`.
 #[allow(clippy::too_many_arguments)]
-fn drive_readahead<T: Send>(
-    ra: &mut ReadAhead<'_, T>,
+fn drive_readahead(
+    ra: &mut ReadAhead<'_, Vec<Batch>>,
     loader: &DataLoader<'_>,
     seed_window: bool,
     bi: usize,
@@ -344,7 +344,7 @@ fn drive_readahead<T: Send>(
     next_sched: &Option<Vec<Vec<usize>>>,
     batch_idx: &[usize],
     obs: &Obs,
-) -> T {
+) -> Vec<Batch> {
     if seed_window {
         for p in bi..bi + depth {
             if let Some(b) = visible(p, sched, next_sched) {
@@ -472,10 +472,6 @@ impl Trainer {
             cfg.checkpoint_every == 0 || cfg.checkpoint_dir.is_some(),
             "checkpoint_every > 0 requires checkpoint_dir"
         );
-        assert!(
-            !(cfg.prefetch_data && cfg.readahead_threads > 0),
-            "prefetch_data and readahead_threads are mutually exclusive data pipelines"
-        );
         let (mut opt, start_step, resume_best, resume_evals) = match resume {
             Some(r) => {
                 assert_eq!(
@@ -510,6 +506,7 @@ impl Trainer {
             per_rank_batch: cfg.per_rank_batch,
             parallel: cfg.parallel_ranks,
             seed: cfg.seed,
+            overlap: cfg.overlap_comm,
         };
         let mut probe = InstabilityProbe::new(16, 3.0);
         // Tapes live for the whole run: every step re-records onto the
@@ -545,12 +542,10 @@ impl Trainer {
         // its own loads produced.
         let mut gc_seen = graph_cache_stats();
 
-        // Worker-side collation: with read-ahead on (and unless
-        // MATSCIML_WORKER_COLLATE=0 opts out), the workers run the whole
+        // Worker-side collation: the read-ahead workers run the whole
         // sample → per-rank-Batch stage so edge-CSR assembly overlaps
         // with the previous step's compute. Declared ahead of the thread
         // scope so the scoped workers can borrow it.
-        let worker_collate = cfg.readahead_threads > 0 && worker_collate_enabled();
         let per_rank = cfg.per_rank_batch;
         let world = cfg.world_size as u64;
         let collate_stage = move |samples: Vec<Sample>| -> Vec<Batch> {
@@ -566,86 +561,44 @@ impl Trainer {
         let start_epoch = start_step / steps_per_epoch;
         let mut first_epoch_skip = (start_step % steps_per_epoch) as usize;
         // The whole step loop runs inside one thread scope so the optional
-        // data-prefetch worker (and, per step, the overlap comm worker) can
-        // borrow the loader; with both features off the scope is free.
+        // read-ahead workers can borrow the loader; with read-ahead off the
+        // scope is free.
         std::thread::scope(|scope| {
-        let mut prefetcher = cfg
-            .prefetch_data
-            .then(|| train_loader.spawn_prefetcher(scope));
         // Clamp the window to one epoch: the request walk can only see
         // the current and next schedules, so a deeper window would point
         // past the horizon and never refill.
         let ra_depth = (if cfg.readahead_depth > 0 { cfg.readahead_depth } else { 4 })
             .min(steps_per_epoch as usize);
-        let mut readahead = (cfg.readahead_threads > 0 && !worker_collate)
-            .then(|| train_loader.spawn_readahead(scope, cfg.readahead_threads, ra_depth));
-        let mut readahead_collated = worker_collate.then(|| {
+        let mut readahead = (cfg.readahead_threads > 0).then(|| {
             train_loader.spawn_readahead_with(scope, cfg.readahead_threads, ra_depth, &collate_stage)
         });
-        let lookahead =
-            prefetcher.is_some() || readahead.is_some() || readahead_collated.is_some();
         let mut sched = train_loader.epoch_batches(start_epoch);
         'outer: for epoch in start_epoch.. {
             // The next epoch's schedule is only materialized eagerly when
-            // a background data pipeline needs to see across the epoch
-            // boundary (the shuffle is a pure function of (seed, epoch)
-            // either way).
-            let mut next_sched = lookahead.then(|| train_loader.epoch_batches(epoch + 1));
+            // read-ahead needs to see across the epoch boundary (the
+            // shuffle is a pure function of (seed, epoch) either way).
+            let mut next_sched = readahead
+                .is_some()
+                .then(|| train_loader.epoch_batches(epoch + 1));
             // Skipping after enumerate keeps `bi` absolute, so the
-            // prefetch lookahead below indexes the schedule correctly.
+            // read-ahead window below indexes the schedule correctly.
             for (bi, batch_idx) in sched.iter().enumerate().skip(std::mem::take(&mut first_epoch_skip)) {
                 if step >= cfg.steps {
                     break 'outer;
                 }
                 let t_step = obs.timer();
-                let data = if let Some(pf) = &mut prefetcher {
-                    // The very first iteration (fresh or resumed) has
-                    // no in-flight request yet.
-                    if step == start_step {
-                        pf.request(batch_idx);
-                    }
-                    // Queue batch i+1 (or the next epoch's first batch)
-                    // before blocking on batch i: the double buffer.
-                    let next = sched
-                        .get(bi + 1)
-                        .or_else(|| next_sched.as_ref().and_then(|n| n.first()));
-                    if let Some(nb) = next {
-                        pf.request(nb);
-                    }
-                    StepData::Samples(pf.take_observed(train_loader, batch_idx, obs))
-                } else if let Some(ra) = &mut readahead {
-                    StepData::Samples(drive_readahead(
+                let data = match &mut readahead {
+                    Some(ra) => StepData::Collated(drive_readahead(
                         ra, train_loader, step == start_step, bi, ra_depth,
                         &sched, &next_sched, batch_idx, obs,
-                    ))
-                } else if let Some(ra) = &mut readahead_collated {
-                    StepData::Collated(drive_readahead(
-                        ra, train_loader, step == start_step, bi, ra_depth,
-                        &sched, &next_sched, batch_idx, obs,
-                    ))
-                } else {
-                    StepData::Samples(train_loader.load_observed(batch_idx, obs))
+                    )),
+                    None => StepData::Samples(train_loader.load_observed(batch_idx, obs)),
                 };
                 {
                     let _prep = obs.span(Phase::Optimizer);
                     model.params.zero_grads();
                 }
-                let train_metrics = match (&data, cfg.overlap_comm) {
-                    (StepData::Samples(samples), true) => crate::overlap::ddp_step_overlapped(
-                        model, samples, &ddp, step, obs, &mut tapes,
-                    ),
-                    (StepData::Samples(samples), false) => {
-                        ddp_step_pooled(model, samples, &ddp, step, obs, &mut tapes)
-                    }
-                    (StepData::Collated(batches), true) => {
-                        crate::overlap::ddp_step_overlapped_collated(
-                            model, batches, &ddp, step, obs, &mut tapes,
-                        )
-                    }
-                    (StepData::Collated(batches), false) => {
-                        ddp_step_collated(model, batches, &ddp, step, obs, &mut tapes)
-                    }
-                };
+                let train_metrics = ddp_step(model, data.input(), &ddp, step, obs, &mut tapes);
                 let opt_span = obs.span(Phase::Optimizer);
                 let loss = train_metrics.get("loss").unwrap_or(f32::NAN);
                 probe.observe(loss, &model.params);
@@ -900,7 +853,6 @@ mod tests {
             early_stop: None,
             skip_nonfinite_updates: false,
             overlap_comm: false,
-            prefetch_data: false,
             readahead_threads: 0,
             readahead_depth: 0,
             checkpoint_every: 0,

@@ -9,7 +9,8 @@ use matsciml_datasets::{
 };
 use matsciml_models::EgnnConfig;
 use matsciml_nn::bucket::{bucket_bytes_live, bucket_bytes_peak, reset_bucket_peak, MAX_REDUCE_SLOTS};
-use matsciml_train::ddp::{ddp_step, DdpConfig};
+use matsciml_obs::Obs;
+use matsciml_train::ddp::{ddp_step, DdpConfig, DdpTapes, StepInput};
 use matsciml_train::{TargetKind, TaskHeadConfig, TaskModel};
 
 /// A world-512 step must keep at most `reduce_slots(512) = MAX_REDUCE_SLOTS`
@@ -35,6 +36,7 @@ fn world_512_step_keeps_constant_gradient_memory() {
         per_rank_batch: 1,
         parallel: true,
         seed: 3,
+        overlap: false,
     };
 
     let bucket_bytes = model.params.bucket_layout().bytes();
@@ -42,7 +44,14 @@ fn world_512_step_keeps_constant_gradient_memory() {
 
     model.params.zero_grads();
     reset_bucket_peak();
-    let metrics = ddp_step(&mut model, &samples, &cfg, 0);
+    let metrics = ddp_step(
+        &mut model,
+        StepInput::Samples(&samples),
+        &cfg,
+        0,
+        &Obs::disabled(),
+        &mut DdpTapes::new(),
+    );
     assert!(metrics.get("loss").unwrap().is_finite());
 
     let peak = bucket_bytes_peak();

@@ -2,7 +2,7 @@
 //! through the fused gather/scatter kernels must be a pure tape-shape
 //! change. A 2-rank, 20-step training run with `set_fused_edges(true)` —
 //! stacked on top of the pooled tapes, the overlapped backward↔allreduce
-//! scheduler, and the data prefetcher — must reproduce the unfused
+//! scheduler, and read-ahead with worker collation — must reproduce the unfused
 //! lowering **bit for bit**: every per-step loss, grad norm, learning
 //! rate, every validation metric, and every final parameter tensor.
 //!
@@ -42,7 +42,7 @@ fn cfg() -> TrainConfig {
         parallel_ranks: true,
         seed: 17,
         overlap_comm: true,
-        prefetch_data: true,
+        readahead_threads: 1,
         ..Default::default()
     }
 }

@@ -6,8 +6,8 @@
 //! of the final parameters.
 //!
 //! The file pins behaviour across refactors of the step body: it was
-//! written by the pooled and overlapped step bodies that preceded the
-//! single `ddp_step`, so any later change that moves a bit fails here.
+//! written by the step code that preceded the single `ddp_step`, so any
+//! later change that moves a bit fails here.
 //! To rewrite it after an intentional numerical change, run
 //! `cargo test -p matsciml-train --test golden_digests -- --ignored`.
 
@@ -80,8 +80,8 @@ fn render(log: &TrainLog, model: &TaskModel) -> String {
     let mut trace = Fnv::new();
     for r in &log.records {
         let loss = r.train.get("loss").expect("every step reports a loss");
-        write!(out, "step {} loss {:08x} grad_norm {:08x}", r.step, loss.to_bits(), r.grad_norm.to_bits())
-            .unwrap();
+        let (step, loss_bits, norm_bits) = (r.step, loss.to_bits(), r.grad_norm.to_bits());
+        write!(out, "step {step} loss {loss_bits:08x} grad_norm {norm_bits:08x}").unwrap();
         trace.f32(loss);
         trace.f32(r.grad_norm);
         if let Some(val) = &r.val {

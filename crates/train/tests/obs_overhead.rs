@@ -74,34 +74,33 @@ fn disabled_obs_costs_under_two_percent_of_step_time() {
 }
 
 #[test]
-fn observed_step_with_disabled_obs_matches_plain_step_bitwise() {
-    // The wrapper contract: ddp_step and ddp_step_observed(..., disabled)
-    // must be the same computation — not approximately, bit-for-bit.
+fn recorded_step_matches_disabled_obs_step_bitwise() {
+    // Instrumentation only observes: a step recorded into a live (null-
+    // sink) recorder must be the same computation as a disabled-obs step
+    // — not approximately, bit-for-bit.
     use matsciml_nn::ParamId;
-    use matsciml_train::{ddp_step, ddp_step_observed, DdpConfig};
+    use matsciml_train::{ddp_step, DdpConfig, DdpTapes, StepInput};
     let cfg = DdpConfig {
         world_size: 2,
         per_rank_batch: 2,
         parallel: false,
         seed: 3,
+        overlap: false,
     };
     let (_, samples) = setup();
 
-    let run = |observed: bool| {
+    let run = |obs: Obs| {
         let (mut m, _) = setup();
         m.params.zero_grads();
-        let metrics = if observed {
-            ddp_step_observed(&mut m, &samples[..4], &cfg, 1, &Obs::disabled())
-        } else {
-            ddp_step(&mut m, &samples[..4], &cfg, 1)
-        };
+        let input = StepInput::Samples(&samples[..4]);
+        let metrics = ddp_step(&mut m, input, &cfg, 1, &obs, &mut DdpTapes::new());
         let grads: Vec<Vec<f32>> = (0..m.params.len())
             .map(|i| m.params.grad(ParamId(i)).as_slice().to_vec())
             .collect();
         (metrics, grads)
     };
-    let (ma, ga) = run(false);
-    let (mb, gb) = run(true);
+    let (ma, ga) = run(Obs::disabled());
+    let (mb, gb) = run(Obs::null());
     assert_eq!(ma, mb);
     assert_eq!(ga, gb);
 }

@@ -1,23 +1,25 @@
 //! The overlap-scheduler acceptance test: turning on the overlapped
-//! backward↔allreduce step and the data prefetcher must be a pure
-//! scheduling change. A 2-rank, 20-step training run with
-//! `overlap_comm` + `prefetch_data` enabled must reproduce the default
-//! pooled path **bit for bit**: every per-step loss, grad norm, learning
-//! rate, every validation metric, and every final parameter tensor.
+//! backward↔allreduce step and read-ahead must be a pure scheduling
+//! change. A 2-rank, 20-step training run with `overlap_comm` +
+//! `readahead_threads: 1` enabled must reproduce the default inline
+//! reduction over synchronous loads **bit for bit**: every per-step loss,
+//! grad norm, learning rate, every validation metric, and every final
+//! parameter tensor.
 //!
 //! A second test records an overlapped run through a memory sink and
-//! checks the new observability surface: the `ddp/overlap_frac`,
+//! checks the observability surface: the `ddp/overlap_frac`,
 //! `ddp/exposed_comm_ms`, and `ddp/overlapped_comm_ms` histograms appear
-//! in the run-record summary, and `data/prefetch_hit` counts the
-//! prefetcher's front-of-queue hits.
+//! in the run-record summary, and `data/readahead_hit` counts the
+//! read-ahead pipeline's in-order takes.
 //!
-//! A third test runs world-2 steps in which one rank's whole batch is a
-//! structure with no edge within the cutoff: its tape must touch the same
-//! parameters as the other rank's, or the overlapped bucket plans differ.
+//! Two more tests run steps whose ranks touch different parameters — one
+//! rank's batch is an edge-free structure, or the ranks' batches feed
+//! different task heads — which the overlapped reduction must handle
+//! exactly like the inline one.
 
 use matsciml_datasets::{
-    Compose, DataLoader, Dataset, DatasetId, Sample, Split, SyntheticMaterialsProject, Transform,
-    DATA_PREFETCH_HIT,
+    Compose, ConcatDataset, DataLoader, Dataset, DatasetId, Sample, Split, SyntheticCarolina,
+    SyntheticMaterialsProject, Transform, DATA_READAHEAD_HIT,
 };
 use matsciml_models::EgnnConfig;
 use matsciml_nn::ParamId;
@@ -42,7 +44,7 @@ fn cfg(overlap: bool) -> TrainConfig {
         parallel_ranks: true,
         seed: 17,
         overlap_comm: overlap,
-        prefetch_data: overlap,
+        readahead_threads: usize::from(overlap),
         ..Default::default()
     }
 }
@@ -67,7 +69,7 @@ fn run(overlap: bool, obs: Option<&Obs>) -> (TrainLog, TaskModel) {
 }
 
 #[test]
-fn overlapped_training_is_bit_identical_to_pooled_path() {
+fn overlapped_training_is_bit_identical_to_inline_reduction() {
     let (seq_log, seq_model) = run(false, None);
     let (ov_log, ov_model) = run(true, None);
 
@@ -93,13 +95,13 @@ fn overlapped_training_is_bit_identical_to_pooled_path() {
         assert_eq!(
             seq_model.params.value(ParamId(i)).as_slice(),
             ov_model.params.value(ParamId(i)).as_slice(),
-            "final parameter {i} diverged between pooled and overlapped paths"
+            "final parameter {i} diverged between inline and overlapped reduction"
         );
     }
 }
 
 #[test]
-fn observed_overlapped_run_reports_overlap_and_prefetch() {
+fn observed_overlapped_run_reports_overlap_and_readahead() {
     let sink = MemorySink::new();
     let buffer = sink.buffer();
     let obs = Obs::recording(RunRecorder::new(Box::new(sink)));
@@ -126,13 +128,13 @@ fn observed_overlapped_run_reports_overlap_and_prefetch() {
     let frac = &summary.phases[DDP_OVERLAP_FRAC];
     assert!(frac.max <= 1.0 + 1e-9, "overlap_frac max {} > 1", frac.max);
 
-    // The prefetcher serves the training loop: with an in-order consumer
-    // every take after the first request is a front-of-queue hit.
+    // Read-ahead serves the training loop: every take arrives in request
+    // order, so each one is a hit.
     let hits = *summary
         .counters
-        .get(DATA_PREFETCH_HIT)
-        .expect("summary missing data/prefetch_hit");
-    assert_eq!(hits, STEPS, "every training batch load is a prefetch hit");
+        .get(DATA_READAHEAD_HIT)
+        .expect("summary missing data/readahead_hit");
+    assert_eq!(hits, STEPS, "every training batch load is a read-ahead hit");
 }
 
 /// An edge-free structure and a connected one, after the standard
@@ -153,8 +155,50 @@ impl Dataset for EdgeFreeAndConnected {
     }
 }
 
+/// Train `make_model` for `steps` steps at world 2 × `per_rank` with the
+/// reduction inline and overlapped; every step must complete and agree
+/// bit for bit, and so must the final parameters.
+fn assert_overlap_matches_inline(
+    loader: &DataLoader<'_>,
+    make_model: impl Fn() -> TaskModel,
+    per_rank: usize,
+    steps: u64,
+) {
+    let run = |overlap: bool| {
+        let mut model = make_model();
+        let trainer = Trainer::new(TrainConfig {
+            world_size: 2,
+            per_rank_batch: per_rank,
+            steps,
+            eval_every: 0,
+            parallel_ranks: true,
+            overlap_comm: overlap,
+            seed: 17,
+            ..Default::default()
+        });
+        let log = trainer.train(&mut model, loader, None);
+        (log, model)
+    };
+    let (inline_log, inline) = run(false);
+    let (ov_log, ov) = run(true);
+
+    assert_eq!(ov_log.records.len(), steps as usize, "every overlapped step completes");
+    for (a, b) in inline_log.records.iter().zip(&ov_log.records) {
+        let (la, lb) = (a.train.get("loss").unwrap(), b.train.get("loss").unwrap());
+        assert_eq!(la.to_bits(), lb.to_bits(), "step {}", a.step);
+        assert_eq!(a.grad_norm.to_bits(), b.grad_norm.to_bits(), "step {}", a.step);
+    }
+    for i in 0..inline.params.len() {
+        assert_eq!(
+            inline.params.value(ParamId(i)).as_slice(),
+            ov.params.value(ParamId(i)).as_slice(),
+            "final parameter {i} diverged"
+        );
+    }
+}
+
 #[test]
-fn overlapped_step_with_an_edge_free_rank_matches_pooled_path() {
+fn overlapped_step_with_an_edge_free_rank_matches_inline_reduction() {
     let pipeline = Compose::standard(4.5, Some(12));
     let source = SyntheticMaterialsProject::new(10_000, 17);
     let find = |edge_free: bool| {
@@ -165,39 +209,32 @@ fn overlapped_step_with_an_edge_free_rank_matches_pooled_path() {
     };
     let data = EdgeFreeAndConnected([find(true), find(false)]);
     let loader = DataLoader::new(&data, None, Split::Train, 0.0, 2, 17);
-
-    let run = |overlap: bool| {
-        let mut model = TaskModel::egnn(
+    let model = || {
+        TaskModel::egnn(
             EgnnConfig::small(8),
             &[TaskHeadConfig::regression(DatasetId::MaterialsProject, TargetKind::BandGap, 16, 1)],
             17,
-        );
-        let trainer = Trainer::new(TrainConfig {
-            world_size: 2,
-            per_rank_batch: 1,
-            steps: 2,
-            eval_every: 0,
-            parallel_ranks: true,
-            overlap_comm: overlap,
-            seed: 17,
-            ..Default::default()
-        });
-        let log = trainer.train(&mut model, &loader, None);
-        (log, model)
+        )
     };
-    let (pooled_log, pooled) = run(false);
-    let (ov_log, ov) = run(true);
+    assert_overlap_matches_inline(&loader, model, 1, 2);
+}
 
-    assert_eq!(ov_log.records.len(), 2, "both overlapped steps complete");
-    for (a, b) in pooled_log.records.iter().zip(&ov_log.records) {
-        assert_eq!(a.train.get("loss"), b.train.get("loss"), "step {}", a.step);
-        assert_eq!(a.grad_norm, b.grad_norm, "step {}", a.step);
-    }
-    for i in 0..pooled.params.len() {
-        assert_eq!(
-            pooled.params.value(ParamId(i)).as_slice(),
-            ov.params.value(ParamId(i)).as_slice(),
-            "final parameter {i} diverged"
-        );
-    }
+#[test]
+fn overlapped_multitask_steps_match_inline_reduction() {
+    // Three heads over Materials Project + Carolina: at world 2 × 4 the
+    // ranks' batches route to different heads, so their tapes touch
+    // different parameters.
+    let merged = ConcatDataset::new(vec![
+        Box::new(SyntheticMaterialsProject::new(96, 5)),
+        Box::new(SyntheticCarolina::new(48, 6)),
+    ]);
+    let pipeline = Compose::standard(4.5, Some(12));
+    let loader = DataLoader::new(&merged, Some(&pipeline), Split::Train, 0.2, 8, 5);
+    let heads = [
+        TaskHeadConfig::regression(DatasetId::MaterialsProject, TargetKind::BandGap, 24, 1),
+        TaskHeadConfig::binary(DatasetId::MaterialsProject, TargetKind::Stability, 24, 1),
+        TaskHeadConfig::regression(DatasetId::Carolina, TargetKind::FormationEnergy, 24, 1),
+    ];
+    let model = || TaskModel::egnn(EgnnConfig::small(12), &heads, 6);
+    assert_overlap_matches_inline(&loader, model, 4, 12);
 }

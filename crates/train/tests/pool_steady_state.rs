@@ -1,4 +1,4 @@
-//! Steady-state allocation acceptance: after warmup, pooled DDP steps on
+//! Steady-state allocation acceptance: after warmup, DDP steps on
 //! a fixed batch must allocate **zero** new tensor buffers — every take
 //! is a pool hit. Lives in its own test binary (one test, nothing
 //! parallel) because the pool counters are process-global.
@@ -6,7 +6,7 @@
 use matsciml_datasets::{Dataset, DatasetId, GraphTransform, SyntheticMaterialsProject, Transform};
 use matsciml_models::EgnnConfig;
 use matsciml_obs::Obs;
-use matsciml_train::ddp::{ddp_step_pooled, DdpConfig, DdpTapes};
+use matsciml_train::ddp::{ddp_step, DdpConfig, DdpTapes, StepInput};
 use matsciml_train::{TargetKind, TaskHeadConfig, TaskModel};
 use matsciml_tensor::pool_stats;
 
@@ -22,7 +22,14 @@ fn steady_state_steps_are_all_pool_hits() {
     let ds = SyntheticMaterialsProject::new(16, 17);
     let t = GraphTransform::radius(4.5, Some(12));
     let samples: Vec<_> = (0..8).map(|i| t.apply(ds.sample(i))).collect();
-    let cfg = DdpConfig { world_size: 2, per_rank_batch: 4, parallel: true, seed: 17 };
+    let cfg = DdpConfig {
+        world_size: 2,
+        per_rank_batch: 4,
+        parallel: true,
+        seed: 17,
+        overlap: false,
+    };
+    let input = StepInput::Samples(&samples);
     let obs = Obs::disabled();
     let mut tapes = DdpTapes::new();
 
@@ -30,13 +37,13 @@ fn steady_state_steps_are_all_pool_hits() {
     // the optimizer-free loop reaches its steady buffer census.
     for step in 0..3 {
         model.params.zero_grads();
-        ddp_step_pooled(&mut model, &samples, &cfg, step, &obs, &mut tapes);
+        ddp_step(&mut model, input, &cfg, step, &obs, &mut tapes);
     }
 
     let before = pool_stats();
     for step in 3..13 {
         model.params.zero_grads();
-        ddp_step_pooled(&mut model, &samples, &cfg, step, &obs, &mut tapes);
+        ddp_step(&mut model, input, &cfg, step, &obs, &mut tapes);
     }
     let delta = pool_stats().since(&before);
 

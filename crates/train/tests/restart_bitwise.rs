@@ -3,8 +3,8 @@
 //! bit** where the uninterrupted 20-step run finishes — every per-step
 //! loss, grad norm, learning rate, every validation metric, and every
 //! final parameter tensor — with the full engine stack on (fused linear,
-//! fused edges, buffer pooling, SIMD lanes, overlapped allreduce, data
-//! prefetch).
+//! fused edges, buffer pooling, SIMD lanes, overlapped allreduce,
+//! read-ahead with worker collation).
 //!
 //! A second test checks the observability surface: `ckpt/saves`,
 //! `ckpt/bytes_written`, and `ckpt/resume_step` move as documented.
@@ -38,7 +38,7 @@ fn cfg(steps: u64) -> TrainConfig {
         parallel_ranks: true,
         seed: 17,
         overlap_comm: true,
-        prefetch_data: true,
+        readahead_threads: 1,
         ..Default::default()
     }
 }

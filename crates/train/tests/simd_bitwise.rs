@@ -1,7 +1,7 @@
 //! The SIMD lane-tier acceptance test: the vector kernels are a pure
 //! instruction-selection change. A 20-step training run with every
 //! engine toggle on — fused linear, fused edge kernels, buffer pooling,
-//! overlapped allreduce, data prefetch, SIMD lanes — must reproduce the
+//! overlapped allreduce, read-ahead, SIMD lanes — must reproduce the
 //! scalar-fallback run **bit for bit**: every per-step loss, grad norm,
 //! learning rate, every validation metric, and every final parameter
 //! tensor, across world sizes {2, 4} and with rank parallelism on and
@@ -35,7 +35,7 @@ fn cfg(world: usize, parallel: bool) -> TrainConfig {
         parallel_ranks: parallel,
         seed: 17,
         overlap_comm: true,
-        prefetch_data: true,
+        readahead_threads: 1,
         ..Default::default()
     }
 }
@@ -88,7 +88,7 @@ fn assert_trajectories_match(a: &TrainLog, b: &TrainLog, what: &str) {
 fn simd_training_is_bit_identical_to_scalar_fallback() {
     let was_on = simd_enabled();
     // Every other engine toggle pinned on: the lane tier must compose
-    // with the full fused + pooled + overlapped + prefetched pipeline.
+    // with the full fused + pooled + overlapped + read-ahead pipeline.
     set_fused_linear(true);
     set_fused_edges(true);
     set_pool_enabled(true);

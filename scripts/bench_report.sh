@@ -53,7 +53,7 @@ if [[ -f BENCH_allreduce.json ]]; then
 fi
 
 if [[ -f BENCH_overlap.json ]]; then
-  gate=$(jq -r 'if .speedup_asserted then "" else " (single-core: gate off)" end' BENCH_overlap.json)
+  gate=$(jq -r 'if .speedup_asserted then "" else " (\(.threads) threads: gate off)" end' BENCH_overlap.json)
   cum_overlap="—"
   if [[ -f BENCH_fwdbwd.json ]]; then
     cum_overlap="$(mul "$(jq .speedup BENCH_overlap.json)" "$(jq .speedup BENCH_fwdbwd.json)")x"

@@ -57,15 +57,14 @@ MATSCIML_READAHEAD=0 cargo test -q -p matsciml-datasets
 MATSCIML_READAHEAD=0 cargo test -q -p matsciml-train --test stream_determinism
 MATSCIML_SHARD_MMAP=0 cargo test -q -p matsciml-datasets
 
-echo "== batch-pipeline fallbacks: graph cache off, worker collate off =="
-# The cross-epoch graph cache (MATSCIML_GRAPH_CACHE=0) and worker-side
-# collation (MATSCIML_WORKER_COLLATE=0) are opt-outs that must leave
-# every trajectory bit-identical — the pipeline matrix and the data
-# layer run green with each tier forced off (docs/ARCHITECTURE.md,
-# "The zero-recompute batch pipeline").
+echo "== batch-pipeline fallback: graph cache off =="
+# The cross-epoch graph cache (MATSCIML_GRAPH_CACHE=0) is an opt-out that
+# must leave every trajectory bit-identical — the data layer and the
+# streaming suite run green with it forced off (docs/ARCHITECTURE.md,
+# "The zero-recompute batch pipeline"). Inline collation is covered by
+# the readahead_threads: 0 baseline of pipeline_bitwise.
 MATSCIML_GRAPH_CACHE=0 cargo test -q -p matsciml-graph -p matsciml-datasets
 MATSCIML_GRAPH_CACHE=0 cargo test -q -p matsciml-train --test stream_determinism
-MATSCIML_WORKER_COLLATE=0 cargo test -q -p matsciml-train --test pipeline_bitwise
 
 echo "== bench artifacts: every BENCH_*.json named in EXPERIMENTS.md exists =="
 while read -r artifact; do

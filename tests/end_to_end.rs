@@ -23,7 +23,6 @@ fn small_trainer(steps: u64, base_lr: f32) -> Trainer {
         early_stop: None,
         skip_nonfinite_updates: false,
         overlap_comm: false,
-        prefetch_data: false,
         checkpoint_every: 0,
         checkpoint_dir: None,
         readahead_threads: 0,

@@ -145,6 +145,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
             per_rank_batch: max_batch as u64,
             steps: 0,
             seed,
+            simd_isa: matsciml::tensor::simd_isa().to_string(),
             config: Json::snapshot(&ServeSnapshot {
                 addr: addr.clone(),
                 dataset: ds_name.clone(),

@@ -219,6 +219,11 @@ pub struct RunStartEvent {
     pub steps: u64,
     /// Run seed.
     pub seed: u64,
+    /// SIMD lane tier the tensor kernels dispatched to: `avx512`,
+    /// `avx2`, `sse` or `off`. Throughput depends on it, results do
+    /// not. Empty in records written before the field existed.
+    #[serde(default)]
+    pub simd_isa: String,
     /// Full training-config snapshot (schema-free JSON).
     pub config: Json,
 }
@@ -722,6 +727,7 @@ mod tests {
             per_rank_batch: 4,
             steps: 2,
             seed: 7,
+            simd_isa: "avx2".to_string(),
             config: Json::snapshot(&[("lr".to_string(), 0.001f32)].into_iter().collect::<BTreeMap<_, _>>())
                 .unwrap(),
         }
@@ -765,6 +771,18 @@ mod tests {
         assert_eq!(record.run_start().unwrap().world_size, 2);
         assert_eq!(record.summary().unwrap().spike_steps, vec![1]);
         assert_eq!(record.final_eval_metrics().unwrap()["mae"], 0.3);
+    }
+
+    #[test]
+    fn run_start_without_simd_isa_still_parses() {
+        let line = serde_json::to_string(&Event::run_start(start_event())).unwrap();
+        assert!(line.contains("\"simd_isa\":\"avx2\""), "got {line}");
+        let old = line.replace("\"simd_isa\":\"avx2\",", "");
+        assert_ne!(old, line);
+        let text = [old, serde_json::to_string(&Event::summary(summary_event())).unwrap()].join("\n");
+        let record = RunRecord::parse(&text).unwrap();
+        record.validate().unwrap();
+        assert_eq!(record.run_start().unwrap().simd_isa, "");
     }
 
     #[test]

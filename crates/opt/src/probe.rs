@@ -9,7 +9,7 @@
 //! reproductions can report *why* a configuration destabilized, not just
 //! that it did.
 
-use matsciml_nn::ParamSet;
+use matsciml_nn::{ParamId, ParamSet};
 use matsciml_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -31,7 +31,13 @@ pub struct InstabilityProbe {
     window: usize,
     spike_factor: f32,
     recent_losses: Vec<f32>,
-    prev_grad: Option<Vec<f32>>,
+    /// The previous step's flattened gradient (empty before the first
+    /// step) and its L2 norm.
+    prev_grad: Vec<f32>,
+    prev_norm: Option<f64>,
+    /// The gradient buffer retired two steps ago, refilled in place so a
+    /// steady run allocates nothing per step.
+    spare: Vec<f32>,
     /// Per-step gradient L2 norms.
     pub grad_norms: Vec<f32>,
     /// Per-step cosine similarity between consecutive gradient directions
@@ -51,7 +57,9 @@ impl InstabilityProbe {
             window: window.max(2),
             spike_factor,
             recent_losses: Vec::new(),
-            prev_grad: None,
+            prev_grad: Vec::new(),
+            prev_norm: None,
+            spare: Vec::new(),
             grad_norms: Vec::new(),
             grad_time_correlation: Vec::new(),
             spikes: Vec::new(),
@@ -61,35 +69,48 @@ impl InstabilityProbe {
 
     /// Record one optimizer step: the loss value and the gradients
     /// currently accumulated in `params` (call before zeroing them).
+    ///
+    /// One pass over the flattened gradient runs the norm and the dot
+    /// product with the previous step as two sequential `f64` chains
+    /// seeded at `-0.0` (the order `Sum<f64>` uses), and the previous
+    /// norm is carried over rather than recomputed from the same data,
+    /// so the recorded series are bit-identical to three separate sums.
     pub fn observe(&mut self, loss: f32, params: &ParamSet) {
         // Flatten the gradient into one direction vector for the
-        // time-correlation estimate. Sampling every tensor is affordable at
-        // the model sizes the toolkit trains.
-        let mut flat = Vec::new();
+        // time-correlation estimate, one tensor at a time so each is
+        // summed while it is still in cache.
+        let len: usize = (0..params.len()).map(|i| params.grad(ParamId(i)).numel()).sum();
+        let paired = self.prev_norm.is_some() && self.prev_grad.len() == len;
+        let mut flat = std::mem::take(&mut self.spare);
+        flat.clear();
+        let (mut sumsq, mut dot) = (-0.0f64, -0.0f64);
         for i in 0..params.len() {
-            flat.extend_from_slice(params.grad(matsciml_nn::ParamId(i)).as_slice());
-        }
-        let norm = flat.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>().sqrt();
-        self.grad_norms.push(norm as f32);
-
-        let corr = match &self.prev_grad {
-            Some(prev) if prev.len() == flat.len() => {
-                let dot: f64 = prev
-                    .iter()
-                    .zip(&flat)
-                    .map(|(&a, &b)| (a as f64) * (b as f64))
-                    .sum();
-                let pn = prev.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>().sqrt();
-                if pn > 0.0 && norm > 0.0 {
-                    (dot / (pn * norm)) as f32
-                } else {
-                    0.0
+            let g = params.grad(ParamId(i)).as_slice();
+            let at = flat.len();
+            flat.extend_from_slice(g);
+            if paired {
+                for (&x, &p) in g.iter().zip(&self.prev_grad[at..]) {
+                    let v = x as f64;
+                    sumsq += v * v;
+                    dot += (p as f64) * v;
+                }
+            } else {
+                for &x in g {
+                    let v = x as f64;
+                    sumsq += v * v;
                 }
             }
+        }
+        let norm = sumsq.sqrt();
+        self.grad_norms.push(norm as f32);
+
+        let corr = match self.prev_norm {
+            Some(pn) if paired && pn > 0.0 && norm > 0.0 => (dot / (pn * norm)) as f32,
             _ => 0.0,
         };
         self.grad_time_correlation.push(corr);
-        self.prev_grad = Some(flat);
+        self.spare = std::mem::replace(&mut self.prev_grad, flat);
+        self.prev_norm = Some(norm);
 
         // Spike detection against the rolling median.
         if self.recent_losses.len() >= self.window {
@@ -154,19 +175,32 @@ pub fn flat_norm(tensors: &[Tensor]) -> f32 {
 mod tests {
     use super::*;
     use matsciml_autograd::Graph;
-    use matsciml_nn::ParamId;
 
     fn store_with_grad(grad: &[f32]) -> ParamSet {
+        store_with_grads(&[grad])
+    }
+
+    /// One parameter per slice, whose gradient is that slice.
+    fn store_with_grads(grads: &[&[f32]]) -> ParamSet {
         let mut ps = ParamSet::new();
-        ps.register("p", Tensor::zeros(&[grad.len()]));
+        for (i, grad) in grads.iter().enumerate() {
+            ps.register(format!("p{i}"), Tensor::zeros(&[grad.len()]));
+        }
         // Drive the gradient accumulator through a tape so we exercise the
-        // real path: loss = sum(p * g_const).
+        // real path: loss = Σ sum(p_i * g_i).
         let mut g = Graph::new();
-        let p = ps.leaf(&mut g, ParamId(0));
-        let weights = g.input(Tensor::from_vec(&[grad.len()], grad.to_vec()).unwrap());
-        let prod = g.mul(p, weights);
-        let loss = g.sum_all(prod);
-        g.backward(loss);
+        let mut loss = None;
+        for (i, grad) in grads.iter().enumerate() {
+            let p = ps.leaf(&mut g, ParamId(i));
+            let weights = g.input(Tensor::from_vec(&[grad.len()], grad.to_vec()).unwrap());
+            let prod = g.mul(p, weights);
+            let term = g.sum_all(prod);
+            loss = Some(match loss {
+                Some(acc) => g.add(acc, term),
+                None => term,
+            });
+        }
+        g.backward(loss.expect("at least one parameter"));
         ps.absorb_grads(&g, 1.0);
         ps
     }
@@ -185,6 +219,83 @@ mod tests {
         assert!(probe.grad_time_correlation[1].abs() < 1e-6);
         assert!((probe.grad_time_correlation[2] - 1.0).abs() < 1e-6);
         assert!((probe.mean_time_correlation() - 0.5).abs() < 1e-6);
+    }
+
+    /// The three-pass formulas the one-pass `observe` replaced: the
+    /// norm, the dot product and the previous norm as separate
+    /// `Sum<f64>` chains.
+    fn three_pass(prev: Option<&[f32]>, flat: &[f32]) -> (f32, f32) {
+        let norm = flat
+            .iter()
+            .map(|&v| (v as f64) * (v as f64))
+            .sum::<f64>()
+            .sqrt();
+        let corr = match prev {
+            Some(prev) if prev.len() == flat.len() => {
+                let dot: f64 = prev
+                    .iter()
+                    .zip(flat)
+                    .map(|(&a, &b)| (a as f64) * (b as f64))
+                    .sum();
+                let pn = prev
+                    .iter()
+                    .map(|&v| (v as f64) * (v as f64))
+                    .sum::<f64>()
+                    .sqrt();
+                if pn > 0.0 && norm > 0.0 {
+                    (dot / (pn * norm)) as f32
+                } else {
+                    0.0
+                }
+            }
+            _ => 0.0,
+        };
+        (norm as f32, corr)
+    }
+
+    #[test]
+    fn one_pass_observe_matches_three_pass_formulas_bitwise() {
+        // Deterministic gradients with awkward magnitudes; the layout
+        // grows at step 4 and shrinks at step 6, and step 7 is all zero.
+        let grad = |step: u32, len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|i| {
+                    let x = (i as u32)
+                        .wrapping_mul(2_654_435_761)
+                        .wrapping_add(step * 40_503);
+                    ((x >> 9) as f32 / (1u32 << 23) as f32 - 0.5) * 10f32.powi((i % 7) as i32 - 3)
+                })
+                .collect()
+        };
+        let lens = [37usize, 37, 37, 37, 53, 53, 37, 37, 37];
+        let mut probe = InstabilityProbe::new(4, 3.0);
+        let mut prev: Option<Vec<f32>> = None;
+        for (step, &len) in lens.iter().enumerate() {
+            let g = if step == 7 {
+                vec![0.0; len]
+            } else {
+                grad(step as u32, len)
+            };
+            // Three tensors, so the chains run across tensor boundaries.
+            let (head, rest) = g.split_at(len / 3);
+            let (mid, tail) = rest.split_at(len / 3);
+            probe.observe(1.0, &store_with_grads(&[head, mid, tail]));
+            let (norm, corr) = three_pass(prev.as_deref(), &g);
+            assert_eq!(
+                probe.grad_norms[step].to_bits(),
+                norm.to_bits(),
+                "norm, step {step}"
+            );
+            assert_eq!(
+                probe.grad_time_correlation[step].to_bits(),
+                corr.to_bits(),
+                "correlation, step {step}"
+            );
+            prev = Some(g);
+        }
+        // Paired steps really produced non-trivial correlations.
+        assert!(probe.grad_time_correlation[1..4].iter().all(|c| *c != 0.0));
+        assert_eq!(probe.grad_time_correlation[4], 0.0, "layout change");
     }
 
     #[test]

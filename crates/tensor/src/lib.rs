@@ -63,7 +63,7 @@ pub use half::{
 };
 pub use linalg::{Mat3, Vec3};
 pub use pool::{pool_enabled, pool_stats, reset_pool_stats, set_pool_enabled, PoolStats};
-pub use simd::{reset_simd_stats, set_simd_enabled, simd_enabled, simd_stats, SimdStats};
+pub use simd::{reset_simd_stats, set_simd_enabled, simd_enabled, simd_isa, simd_stats, SimdStats};
 pub use shape::TensorError;
 pub use tensor::Tensor;
 

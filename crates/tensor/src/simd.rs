@@ -13,18 +13,38 @@
 //!   element is an independent chain of IEEE mul / add / div / sqrt
 //!   ops. A vector lane evaluates exactly the per-element expression
 //!   tree, and no two elements' terms ever mix, so the lane *width* is
-//!   irrelevant to the bits — these kernels use 8-wide AVX2 when the
-//!   CPU has it and 4-wide SSE2 otherwise, with a scalar tail.
+//!   irrelevant to the bits.
 //! * **Reduction kernels** (`dot`, `sumsq`, the `nt` matmul): the
 //!   bracketing of the sum IS the result, so the accumulator layout is
 //!   pinned at **four lanes regardless of hardware**: lane `l` sums
 //!   elements `i ≡ l (mod 4)` in increasing order, lanes fold as
 //!   `(s0 + s1) + (s2 + s3) + tail` — the exact shape of
-//!   `crate::matmul`'s `dot`. AVX2 never widens a reduction to eight
-//!   chains; it at most processes two independent four-lane reductions
-//!   per register. The scalar fallback replays the identical 4-chain
-//!   order, so SIMD ≡ fallback ≡ rayon-parallel stays bit-exact and
-//!   machine-independent.
+//!   `crate::matmul`'s `dot`. A wider register never widens a
+//!   reduction past four chains; it only carries more independent
+//!   four-lane reductions side by side. The scalar fallback replays the
+//!   identical 4-chain order, so SIMD ≡ fallback ≡ rayon-parallel stays
+//!   bit-exact and machine-independent.
+//!
+//! ## Tiers
+//!
+//! CPUID picks the widest tier once per process (`detect_isa`):
+//!
+//! * **`Avx512`** (AVX-512F + AVX2): the exact-order GEMM strips run on
+//!   zmm registers. The forward / `tn` strips hold 64 or 32 output
+//!   columns per row (4 or 2 zmm), each lane still the increasing-`p`,
+//!   mul-then-add, zero-skip chain of its element. The `nt` block puts
+//!   four columns' 4-lane accumulators in one zmm (b quads placed by
+//!   `insertf32x4`, the a quad broadcast by `broadcast_f32x4`), so each
+//!   output still folds its own four chains. Every other kernel runs
+//!   its AVX2 body, and narrower strips take the remainder columns.
+//! * **`Avx2`**: 8-wide elementwise kernels and 16 / 8-column GEMM
+//!   strips; two columns' 4-lane `nt` accumulators per ymm.
+//! * **`Sse`** (baseline x86-64): 4-wide everything.
+//! * Off ([`set_simd_enabled`]`(false)`, `MATSCIML_SIMD=0`, non-x86
+//!   targets): the canonical scalar loops.
+//!
+//! All four produce the same bits; [`simd_isa`] names the one in use so
+//! run records can explain a throughput difference between hosts.
 //!
 //! One deliberate re-pin: `sumsq` previously ran a single sequential
 //! `f64` chain per block, which no fixed-width vector unit can
@@ -146,25 +166,46 @@ pub fn reset_simd_stats() {
 // ---------------------------------------------------------------------------
 
 /// Instruction set selected for one kernel invocation. Reductions use
-/// the same fixed 4-lane layout under both; `Avx2` only widens
-/// elementwise work and pairs up independent reductions.
+/// the same fixed 4-lane layout under every tier; wider tiers only widen
+/// elementwise work and pack more independent reductions per register.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Isa {
     /// 4-wide f32 (baseline x86-64; SSE2 is architecturally guaranteed).
     Sse,
     /// 8-wide f32 for elementwise kernels, 2×4-lane for reductions.
     Avx2,
+    /// AVX2 everywhere except the exact-order GEMM strips, which run
+    /// 16-wide f32 (forward / `tn`) and 4×4-lane (`nt`) zmm bodies.
+    Avx512,
+}
+
+impl Isa {
+    /// Lower-case tier name as recorded in the run record (`simd_isa`).
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Isa::Sse => "sse",
+            Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 fn detect_isa() -> Isa {
     use std::sync::OnceLock;
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    if *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2")) {
-        Isa::Avx2
-    } else {
-        Isa::Sse
-    }
+    static ISA: OnceLock<Isa> = OnceLock::new();
+    *ISA.get_or_init(|| {
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        // The AVX-512 tier reuses the AVX2 bodies for everything but the
+        // GEMM strips, so it requires both.
+        if avx2 && std::arch::is_x86_feature_detected!("avx512f") {
+            Isa::Avx512
+        } else if avx2 {
+            Isa::Avx2
+        } else {
+            Isa::Sse
+        }
+    })
 }
 
 /// The ISA the lane tier would use right now, or `None` when disabled
@@ -183,6 +224,15 @@ pub(crate) fn enabled_isa() -> Option<Isa> {
     {
         None
     }
+}
+
+/// Name of the lane tier kernels dispatch to right now: `"avx512"`,
+/// `"avx2"` or `"sse"`, or `"off"` when the tier is disabled
+/// ([`set_simd_enabled`] / `MATSCIML_SIMD=0`) or the target has no
+/// supported vector unit. Run records carry it as `simd_isa`, because
+/// throughput depends on the tier while the bits do not.
+pub fn simd_isa() -> &'static str {
+    enabled_isa().map_or("off", Isa::name)
 }
 
 /// Kernel-entry dispatch: returns the active ISA and records
@@ -292,7 +342,7 @@ pub(crate) fn axpy(dst: &mut [f32], src: &[f32], s: f32, isa: Isa) {
     #[cfg(target_arch = "x86_64")]
     unsafe {
         match isa {
-            Isa::Avx2 => x86::axpy_avx2(dst, src, s),
+            Isa::Avx2 | Isa::Avx512 => x86::axpy_avx2(dst, src, s),
             Isa::Sse => x86::axpy_sse(dst, src, s),
         }
     }
@@ -310,7 +360,7 @@ pub(crate) fn vadd(dst: &mut [f32], src: &[f32], isa: Isa) {
     #[cfg(target_arch = "x86_64")]
     unsafe {
         match isa {
-            Isa::Avx2 => x86::vadd_avx2(dst, src),
+            Isa::Avx2 | Isa::Avx512 => x86::vadd_avx2(dst, src),
             Isa::Sse => x86::vadd_sse(dst, src),
         }
     }
@@ -327,7 +377,7 @@ pub(crate) fn scale(dst: &mut [f32], s: f32, isa: Isa) {
     #[cfg(target_arch = "x86_64")]
     unsafe {
         match isa {
-            Isa::Avx2 => x86::scale_avx2(dst, s),
+            Isa::Avx2 | Isa::Avx512 => x86::scale_avx2(dst, s),
             Isa::Sse => x86::scale_sse(dst, s),
         }
     }
@@ -345,7 +395,7 @@ pub(crate) fn mul_scaled(dst: &mut [f32], src: &[f32], s: f32, isa: Isa) {
     #[cfg(target_arch = "x86_64")]
     unsafe {
         match isa {
-            Isa::Avx2 => x86::mul_scaled_avx2(dst, src, s),
+            Isa::Avx2 | Isa::Avx512 => x86::mul_scaled_avx2(dst, src, s),
             Isa::Sse => x86::mul_scaled_sse(dst, src, s),
         }
     }
@@ -436,14 +486,16 @@ pub(crate) fn dot4(a: &[f32], b: &[f32], isa: Isa) -> f32 {
 /// lane kernels inherit the same streamed-operand reuse.
 const MR: usize = 4;
 
-/// Statically-dispatched row count for the const-generic strips.
+/// Statically-dispatched row count for the const-generic strips. An
+/// optional `[V]` after the kernel name is passed as its second const
+/// parameter (the zmm count per row of the AVX-512 strips).
 macro_rules! with_rows {
-    ($r:expr, $($f:ident)::+ ( $($arg:expr),* $(,)? )) => {
+    ($r:expr, $($f:ident)::+ $([$v:literal])? ( $($arg:expr),* $(,)? )) => {
         match $r {
-            1 => $($f)::+::<1>($($arg),*),
-            2 => $($f)::+::<2>($($arg),*),
-            3 => $($f)::+::<3>($($arg),*),
-            4 => $($f)::+::<4>($($arg),*),
+            1 => $($f)::+::<1 $(, $v)?>($($arg),*),
+            2 => $($f)::+::<2 $(, $v)?>($($arg),*),
+            3 => $($f)::+::<3 $(, $v)?>($($arg),*),
+            4 => $($f)::+::<4 $(, $v)?>($($arg),*),
             _ => unreachable!("row blocks are at most MR = 4"),
         }
     };
@@ -694,7 +746,23 @@ unsafe fn gemm_cols(
     #[cfg(target_arch = "x86_64")]
     {
         match isa {
-            Isa::Avx2 => {
+            Isa::Avx2 | Isa::Avx512 => {
+                if isa == Isa::Avx512 {
+                    while j + 64 <= n {
+                        with_rows!(
+                            r,
+                            x86::gemm_strip_avx512[4](a, rs, ps, wp.add(j), zp.add(j), n, k)
+                        );
+                        j += 64;
+                    }
+                    if j + 32 <= n {
+                        with_rows!(
+                            r,
+                            x86::gemm_strip_avx512[2](a, rs, ps, wp.add(j), zp.add(j), n, k)
+                        );
+                        j += 32;
+                    }
+                }
                 while j + 16 <= n {
                     with_rows!(r, x86::gemm_strip16_avx2(a, rs, ps, wp.add(j), zp.add(j), n, k));
                     j += 16;
@@ -738,7 +806,8 @@ unsafe fn gemm_cols(
 /// (`a: [m, k]`, `b: [n, k]`) — the peer of `matmul_nt`'s row kernel
 /// and `fused`'s blocked `nt`. Every output element reproduces `dot`'s
 /// four-lane bracketing exactly; AVX2 packs two columns' 4-lane
-/// accumulators per register instead of widening the reduction.
+/// accumulators per register and AVX-512 four, instead of widening the
+/// reduction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn nt_rows_lanes(
     a: &[f32],
@@ -759,12 +828,27 @@ pub(crate) fn nt_rows_lanes(
             let ap = a.as_ptr();
             let bp = b.as_ptr();
             let dp = dst.as_mut_ptr();
-            // SAFETY: rows r0+i..r0+i+r of `a`, columns j..j+4 of `b`
-            // (rows of the [n, k] matrix), and the r×4 dst sub-block are
-            // all in-bounds by the loop conditions.
+            // SAFETY: rows r0+i..r0+i+r of `a`, columns j..j+8 (or j+4)
+            // of `b` (rows of the [n, k] matrix), and the matching dst
+            // sub-block are all in-bounds by the loop conditions.
             unsafe {
                 match isa {
-                    Isa::Avx2 => {
+                    Isa::Avx2 | Isa::Avx512 => {
+                        if isa == Isa::Avx512 {
+                            while j + 8 <= n {
+                                with_rows!(
+                                    r,
+                                    x86::nt_cols8_avx512(
+                                        ap.add((r0 + i) * k),
+                                        bp.add(j * k),
+                                        dp.add(i * n + j),
+                                        n,
+                                        k
+                                    )
+                                );
+                                j += 8;
+                            }
+                        }
                         while j + 4 <= n {
                             with_rows!(
                                 r,
@@ -1172,6 +1256,50 @@ mod x86 {
         }
     }
 
+    /// `16 · V`-column AVX-512 gemm strip: `R` rows of output
+    /// accumulated in `V` zmm registers each across the full `k` sweep.
+    /// Same canonical order as [`gemm_strip16_avx2`] — increasing `p`,
+    /// separate mul then add, the `av != 0.0` skip — so each output
+    /// element runs the same chain of correctly rounded ops and the lane
+    /// width cannot show in the bits.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX-512F support; all addresses
+    /// produced by the stride formulas for `rr < R`, `p < k`, `16 · V`
+    /// columns must be in-bounds.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn gemm_strip_avx512<const R: usize, const V: usize>(
+        a: *const f32,
+        rs: usize,
+        ps: usize,
+        w: *const f32,
+        z: *mut f32,
+        n: usize,
+        k: usize,
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); V]; R];
+        for p in 0..k {
+            let mut wv = [_mm512_setzero_ps(); V];
+            for (c, wc) in wv.iter_mut().enumerate() {
+                *wc = _mm512_loadu_ps(w.add(p * n + 16 * c));
+            }
+            for rr in 0..R {
+                let av = *a.add(rr * rs + p * ps);
+                if av != 0.0 {
+                    let avv = _mm512_set1_ps(av);
+                    for c in 0..V {
+                        acc[rr][c] = _mm512_add_ps(acc[rr][c], _mm512_mul_ps(avv, wv[c]));
+                    }
+                }
+            }
+        }
+        for rr in 0..R {
+            for c in 0..V {
+                _mm512_storeu_ps(z.add(rr * n + 16 * c), acc[rr][c]);
+            }
+        }
+    }
+
     /// 16-column AVX2 + FMA gemm strip for the reduced-precision wide
     /// tier: fused multiply-add, no zero-skip branch, accumulation
     /// order unpinned (tolerance-checked by callers, never
@@ -1489,6 +1617,59 @@ mod x86 {
         }
     }
 
+    /// `R` rows × 8 columns of the `nt` product on AVX-512: each zmm
+    /// register carries FOUR columns' fixed 4-lane accumulators (b quads
+    /// placed by `insertf32x4`, the a quad broadcast to all four), so
+    /// the reduction still runs exactly four chains per output element
+    /// and folds like `matmul::dot`. Pointer contract as
+    /// [`nt_cols4_avx2`], for 8 consecutive `b` rows.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX-512F support; `R` rows of `a`, 8
+    /// rows of `b`, and the `R × 8` output sub-block must be in-bounds.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn nt_cols8_avx512<const R: usize>(
+        a: *const f32,
+        b: *const f32,
+        dst: *mut f32,
+        n: usize,
+        k: usize,
+    ) {
+        let kc = k / 4 * 4;
+        let mut acc0 = [_mm512_setzero_ps(); R];
+        let mut acc1 = [_mm512_setzero_ps(); R];
+        let quads = |c: usize, i: usize| {
+            let mut v = _mm512_castps128_ps512(_mm_loadu_ps(b.add(c * k + i)));
+            v = _mm512_insertf32x4::<1>(v, _mm_loadu_ps(b.add((c + 1) * k + i)));
+            v = _mm512_insertf32x4::<2>(v, _mm_loadu_ps(b.add((c + 2) * k + i)));
+            _mm512_insertf32x4::<3>(v, _mm_loadu_ps(b.add((c + 3) * k + i)))
+        };
+        let mut i = 0;
+        while i < kc {
+            let b0 = quads(0, i);
+            let b1 = quads(4, i);
+            for rr in 0..R {
+                let aq = _mm512_broadcast_f32x4(_mm_loadu_ps(a.add(rr * k + i)));
+                acc0[rr] = _mm512_add_ps(acc0[rr], _mm512_mul_ps(aq, b0));
+                acc1[rr] = _mm512_add_ps(acc1[rr], _mm512_mul_ps(aq, b1));
+            }
+            i += 4;
+        }
+        for rr in 0..R {
+            let mut s = [0.0f32; 32];
+            _mm512_storeu_ps(s.as_mut_ptr(), acc0[rr]);
+            _mm512_storeu_ps(s.as_mut_ptr().add(16), acc1[rr]);
+            for t in 0..8 {
+                let q = &s[t * 4..t * 4 + 4];
+                let mut tail = 0.0f32;
+                for ii in kc..k {
+                    tail += *a.add(rr * k + ii) * *b.add(t * k + ii);
+                }
+                *dst.add(rr * n + t) = (q[0] + q[1]) + (q[2] + q[3]) + tail;
+            }
+        }
+    }
+
     /// `R` rows × 4 columns of the `nt` product on SSE: one xmm 4-lane
     /// accumulator per output element, `dot`-identical fold.
     ///
@@ -1587,6 +1768,9 @@ mod tests {
             let mut v = vec![Isa::Sse];
             if std::arch::is_x86_feature_detected!("avx2") {
                 v.push(Isa::Avx2);
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    v.push(Isa::Avx512);
+                }
             }
             v
         }
@@ -1749,9 +1933,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gemm_strips_match_zero_skip_reference() {
-        for &(rows, k, n) in &[
+    /// Column counts that reach the 64- and 32-column AVX-512 strips,
+    /// with every narrower strip and the scalar loop taking remainders.
+    const WIDE_NS: [usize; 6] = [32, 48, 63, 75, 256, 513];
+
+    /// Shapes for the forward / `tn` strip tests: the hand-picked
+    /// narrow cases plus every row count 1–9 against each wide `n`.
+    fn gemm_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = vec![
             (1usize, 1usize, 1usize),
             (1, 3, 5),
             (2, 8, 4),
@@ -1761,7 +1950,18 @@ mod tests {
             (6, 9, 33),
             (7, 32, 40),
             (9, 5, 19),
-        ] {
+        ];
+        for (i, &n) in WIDE_NS.iter().enumerate() {
+            for rows in 1..=9 {
+                shapes.push((rows, [3, 7, 16][(rows + i) % 3], n));
+            }
+        }
+        shapes
+    }
+
+    #[test]
+    fn gemm_strips_match_zero_skip_reference() {
+        for (rows, k, n) in gemm_shapes() {
             let a = vals(rows * k, (rows * 31 + k) as u32);
             let w = vals(k * n, (k * 17 + n) as u32);
             let want = gemm_ref(&a, &w, rows, k, n);
@@ -1842,7 +2042,9 @@ mod tests {
     #[test]
     fn tn_rows_match_zero_skip_reference() {
         // dst = a^T @ b with a: [k, m], b: [k, n]; av(r, p) = a[p*m + r].
-        for &(m, k, n) in &[(1usize, 4usize, 4usize), (3, 7, 9), (5, 12, 17), (8, 16, 33)] {
+        let mut shapes = vec![(1usize, 4usize, 4usize), (3, 7, 9), (5, 12, 17), (8, 16, 33)];
+        shapes.extend(gemm_shapes());
+        for (m, k, n) in shapes {
             let a = vals(k * m, (m * 13 + k) as u32);
             let b = vals(k * n, (k * 29 + n) as u32);
             let mut want = vec![0.0f32; m * n];
@@ -1867,7 +2069,17 @@ mod tests {
     #[test]
     fn nt_rows_match_dot_reference() {
         // dst[r, j] = dot(a row r, b row j), a: [m, k], b: [n, k].
-        for &(m, k, n) in &[(1usize, 5usize, 1usize), (3, 9, 4), (5, 16, 7), (6, 21, 12)] {
+        let mut shapes = vec![(1usize, 5usize, 1usize), (3, 9, 4), (5, 16, 7), (6, 21, 12)];
+        // Column counts around the 8-wide AVX-512 block and depths with
+        // and without a `k % 4` tail, at every row count 1–9.
+        for n in [8, 13, 24, 33] {
+            for k in [4, 7, 129] {
+                for m in 1..=9 {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        for (m, k, n) in shapes {
             let a = vals(m * k, (m * 41 + k) as u32);
             let b = vals(n * k, (n * 43 + k) as u32);
             let mut want = vec![0.0f32; m * n];
@@ -1897,6 +2109,18 @@ mod tests {
             delta.lane_ops > 0 || delta.fallback_hits > 0,
             "no simd counter moved: {delta:?}"
         );
+    }
+
+    /// Prints the detected tier (CI logs show whether the AVX-512
+    /// strips ran) and checks the public name is one of the documented
+    /// four. Other tests flip the toggle concurrently, so `off` is legal
+    /// here even on a vector host.
+    #[test]
+    fn simd_isa_names_a_known_tier() {
+        let name = simd_isa();
+        assert!(["avx512", "avx2", "sse", "off"].contains(&name), "unknown tier {name}");
+        #[cfg(target_arch = "x86_64")]
+        println!("detected lane tier: {}", detect_isa().name());
     }
 
     #[test]

@@ -531,6 +531,7 @@ impl Trainer {
                 per_rank_batch: cfg.per_rank_batch as u64,
                 steps: cfg.steps,
                 seed: cfg.seed,
+                simd_isa: matsciml_tensor::simd_isa().to_string(),
                 config: Json::snapshot(cfg).unwrap_or_else(|_| Json::null()),
             }));
         }

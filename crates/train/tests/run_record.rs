@@ -64,6 +64,9 @@ fn two_rank_run_record_validates_and_replays() {
     assert_eq!(start.world_size, WORLD as u64);
     assert_eq!(start.per_rank_batch, PER_RANK as u64);
     assert_eq!(start.steps, STEPS);
+    // The lane tier is recorded, and it is the one the kernels used.
+    assert_eq!(start.simd_isa, matsciml_tensor::simd_isa());
+    assert!(["avx512", "avx2", "sse", "off"].contains(&start.simd_isa.as_str()));
     // The config snapshot embeds the full TrainConfig.
     assert!(start.config.get("gamma").is_some(), "config snapshot carries TrainConfig fields");
 

@@ -24,11 +24,11 @@ use matsciml_train::{
 const PER_RANK: usize = 4;
 const STEPS: u64 = 20;
 
-fn cfg(world: usize, parallel: bool) -> TrainConfig {
+fn cfg(world: usize, parallel: bool, steps: u64) -> TrainConfig {
     TrainConfig {
         world_size: world,
         per_rank_batch: PER_RANK,
-        steps: STEPS,
+        steps,
         base_lr: 1e-3,
         eval_every: 5,
         eval_batches: 2,
@@ -41,17 +41,27 @@ fn cfg(world: usize, parallel: bool) -> TrainConfig {
 }
 
 fn run(world: usize, parallel: bool, obs: Option<&Obs>) -> (TrainLog, TaskModel) {
+    run_at(world, parallel, 8, STEPS, obs)
+}
+
+fn run_at(
+    world: usize,
+    parallel: bool,
+    hidden: usize,
+    steps: u64,
+    obs: Option<&Obs>,
+) -> (TrainLog, TaskModel) {
     let ds = SyntheticMaterialsProject::new(160, 17);
     let pipeline = Compose::standard(4.5, Some(12));
     let batch = world * PER_RANK;
     let train_dl = DataLoader::new(&ds, Some(&pipeline), Split::Train, 0.2, batch, 17);
     let val_dl = DataLoader::new(&ds, Some(&pipeline), Split::Val, 0.2, batch, 17);
     let mut model = TaskModel::egnn(
-        EgnnConfig::small(8),
+        EgnnConfig::small(hidden),
         &[TaskHeadConfig::regression(DatasetId::MaterialsProject, TargetKind::BandGap, 16, 1)],
         17,
     );
-    let trainer = Trainer::new(cfg(world, parallel));
+    let trainer = Trainer::new(cfg(world, parallel, steps));
     let log = match obs {
         Some(obs) => trainer.train_observed(&mut model, &train_dl, Some(&val_dl), obs),
         None => trainer.train(&mut model, &train_dl, Some(&val_dl)),
@@ -84,6 +94,17 @@ fn assert_trajectories_match(a: &TrainLog, b: &TrainLog, what: &str) {
     }
 }
 
+fn assert_params_match(a: &TaskModel, b: &TaskModel, what: &str) {
+    assert_eq!(a.params.len(), b.params.len());
+    for i in 0..a.params.len() {
+        assert_eq!(
+            a.params.value(matsciml_nn::ParamId(i)).as_slice(),
+            b.params.value(matsciml_nn::ParamId(i)).as_slice(),
+            "{what}: final parameter {i} diverged between scalar and SIMD runs"
+        );
+    }
+}
+
 #[test]
 fn simd_training_is_bit_identical_to_scalar_fallback() {
     let was_on = simd_enabled();
@@ -102,18 +123,33 @@ fn simd_training_is_bit_identical_to_scalar_fallback() {
 
             let what = format!("world {world}, parallel {parallel}");
             assert_trajectories_match(&scalar_log, &simd_log, &what);
-
-            assert_eq!(scalar_model.params.len(), simd_model.params.len());
-            for i in 0..scalar_model.params.len() {
-                assert_eq!(
-                    scalar_model.params.value(matsciml_nn::ParamId(i)).as_slice(),
-                    simd_model.params.value(matsciml_nn::ParamId(i)).as_slice(),
-                    "{what}: final parameter {i} diverged between scalar and SIMD runs"
-                );
-            }
+            assert_params_match(&scalar_model, &simd_model, &what);
         }
     }
     set_simd_enabled(was_on);
+}
+
+/// At hidden 8 no GEMM is wide enough for the 32-column forward / `tn`
+/// strips; hidden 64 puts every Linear on them (and its `nt` products
+/// on the 8-column block) on AVX-512 hosts, so the widest tier is also
+/// held to the scalar trajectory.
+#[test]
+fn simd_training_is_bit_identical_at_hidden_64() {
+    let was_on = simd_enabled();
+    set_fused_linear(true);
+    set_fused_edges(true);
+    set_pool_enabled(true);
+
+    set_simd_enabled(false);
+    let (scalar_log, scalar_model) = run_at(2, true, 64, 4, None);
+    set_simd_enabled(true);
+    let what = format!("hidden 64, lane tier {}", matsciml_tensor::simd_isa());
+    let (simd_log, simd_model) = run_at(2, true, 64, 4, None);
+    set_simd_enabled(was_on);
+
+    assert_eq!(simd_log.records.len(), 4);
+    assert_trajectories_match(&scalar_log, &simd_log, &what);
+    assert_params_match(&scalar_model, &simd_model, &what);
 }
 
 #[test]

@@ -34,6 +34,13 @@ for _ in 1 2 3 4 5; do
   cargo test -q --release -p matsciml-train --test pool_steady_state
 done
 
+echo "== SIMD lane tier: detected tier, tensor kernels in release =="
+# CPUID picks the tier (sse / avx2 / avx512); the log line says whether
+# the AVX-512 GEMM strips ran on this host. The #[target_feature] strips
+# are also checked in an optimized build, where inlining differs.
+cargo test -q --release -p matsciml-tensor simd_isa_names_a_known_tier -- --nocapture
+cargo test -q --release -p matsciml-tensor
+
 echo "== tier-1: tests again with the SIMD lane tier disabled =="
 # The scalar fallback is a first-class configuration (non-x86 targets,
 # MATSCIML_SIMD=0 escape hatch) and must stay bit-identical to the

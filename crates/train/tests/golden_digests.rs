@@ -1,58 +1,184 @@
-//! Reference digests of the 2-rank, 20-step training run, committed under
+//! Reference digests of pinned training runs, committed under
 //! `tests/golden/`. Every scheduling knob of a training step — overlapped
 //! or inline reduction, rank threads on or off, read-ahead with worker
-//! collation or a synchronous load — must reproduce the file bit for bit:
-//! each step's loss, gradient norm and validation metrics, and every bit
-//! of the final parameters.
+//! collation or a synchronous load — must reproduce each file bit for
+//! bit: every step's loss, gradient norm and validation metrics, and
+//! every bit of the final parameters.
 //!
-//! The file pins behaviour across refactors of the step body: it was
-//! written by the step code that preceded the single `ddp_step`, so any
+//! | file | run |
+//! |---|---|
+//! | `ddp_2rank_20step.txt` | world 2 × 4, 20 steps |
+//! | `resume_10_20.txt` | the same world, checkpointed at step 10 and resumed to 20 |
+//! | `pipeline_3epoch.txt` | world 2 × 4 over 40 LiPS structures: 12 steps, 3 epochs |
+//! | `ddp_20rank_clip.txt` | world 20 × 1 with a clipped norm: 16 reduce slots, so slots 0–3 fold two ranks each |
+//!
+//! The files pin behaviour across refactors of the step body: each was
+//! written by the code that preceded the refactor it guards, so any
 //! later change that moves a bit fails here.
-//! To rewrite it after an intentional numerical change, run
+//! To rewrite them after an intentional numerical change, run
 //! `cargo test -p matsciml-train --test golden_digests -- --ignored`.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use matsciml_datasets::{Compose, DataLoader, DatasetId, Split, SyntheticMaterialsProject};
+use matsciml_datasets::{
+    Compose, DataLoader, DatasetId, ShuffleMode, Split, SyntheticLips, SyntheticMaterialsProject,
+};
 use matsciml_models::EgnnConfig;
 use matsciml_nn::ParamId;
-use matsciml_train::{TargetKind, TaskHeadConfig, TaskModel, TrainConfig, TrainLog, Trainer};
+use matsciml_train::{
+    TargetKind, TaskHeadConfig, TaskModel, TrainCheckpoint, TrainConfig, TrainLog, Trainer,
+};
 
-const WORLD: usize = 2;
-const PER_RANK: usize = 4;
-const STEPS: u64 = 20;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/ddp_2rank_20step.txt")
+/// A pinned reference run.
+#[derive(Clone, Copy, Debug)]
+enum Run {
+    Ddp2Rank,
+    Resume,
+    Pipeline,
+    World20,
 }
 
-fn run(overlap: bool, parallel: bool, readahead_threads: usize) -> (TrainLog, TaskModel) {
-    let ds = SyntheticMaterialsProject::new(160, 17);
-    let pipeline = Compose::standard(4.5, Some(12));
-    let batch = WORLD * PER_RANK;
-    let train_dl = DataLoader::new(&ds, Some(&pipeline), Split::Train, 0.2, batch, 17);
-    let val_dl = DataLoader::new(&ds, Some(&pipeline), Split::Val, 0.2, batch, 17);
-    let mut model = TaskModel::egnn(
+impl Run {
+    fn golden_path(self) -> PathBuf {
+        let file = match self {
+            Run::Ddp2Rank => "ddp_2rank_20step.txt",
+            Run::Resume => "resume_10_20.txt",
+            Run::Pipeline => "pipeline_3epoch.txt",
+            Run::World20 => "ddp_20rank_clip.txt",
+        };
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file)
+    }
+}
+
+/// Where the step's work runs; none of it may move a bit.
+#[derive(Clone, Copy, Debug)]
+struct Schedule {
+    overlap: bool,
+    parallel: bool,
+    readahead_threads: usize,
+}
+
+const DEFAULT_SCHEDULE: Schedule = Schedule { overlap: false, parallel: true, readahead_threads: 0 };
+
+fn mp_model(seed: u64) -> TaskModel {
+    TaskModel::egnn(
         EgnnConfig::small(8),
         &[TaskHeadConfig::regression(DatasetId::MaterialsProject, TargetKind::BandGap, 16, 1)],
-        17,
-    );
-    let cfg = TrainConfig {
-        world_size: WORLD,
-        per_rank_batch: PER_RANK,
-        steps: STEPS,
+        seed,
+    )
+}
+
+fn train(run: Run, s: Schedule) -> (TrainLog, TaskModel) {
+    let base = TrainConfig {
         base_lr: 1e-3,
-        eval_every: 5,
         eval_batches: 2,
-        parallel_ranks: parallel,
-        seed: 17,
-        overlap_comm: overlap,
-        readahead_threads,
+        parallel_ranks: s.parallel,
+        overlap_comm: s.overlap,
+        readahead_threads: s.readahead_threads,
         ..Default::default()
     };
-    let log = Trainer::new(cfg).train(&mut model, &train_dl, Some(&val_dl));
-    (log, model)
+    match run {
+        Run::Pipeline => {
+            let ds = SyntheticLips::new(40, 29);
+            let pipeline = Compose::standard(4.5, Some(12));
+            let train_dl = DataLoader::new(&ds, Some(&pipeline), Split::Train, 0.2, 8, 29)
+                .with_shuffle_mode(ShuffleMode::Blocked(20));
+            let val_dl = DataLoader::new(&ds, Some(&pipeline), Split::Val, 0.2, 8, 29);
+            let mut model = TaskModel::egnn(
+                EgnnConfig::small(8),
+                &[TaskHeadConfig::regression(DatasetId::Lips, TargetKind::Energy, 16, 1)],
+                29,
+            );
+            let cfg = TrainConfig {
+                world_size: 2,
+                per_rank_batch: 4,
+                steps: 12,
+                eval_every: 5,
+                seed: 29,
+                readahead_depth: 2,
+                ..base
+            };
+            let log = Trainer::new(cfg).train(&mut model, &train_dl, Some(&val_dl));
+            assert!(log.records.last().unwrap().epoch >= 2, "the run spans 3 epochs");
+            (log, model)
+        }
+        Run::Ddp2Rank | Run::Resume | Run::World20 => {
+            let ds = SyntheticMaterialsProject::new(160, 17);
+            let pipeline = Compose::standard(4.5, Some(12));
+            let (world, per_rank) = if matches!(run, Run::World20) { (20, 1) } else { (2, 4) };
+            let batch = world * per_rank;
+            let train_dl = DataLoader::new(&ds, Some(&pipeline), Split::Train, 0.2, batch, 17);
+            let val_dl = DataLoader::new(&ds, Some(&pipeline), Split::Val, 0.2, batch, 17);
+            let cfg = TrainConfig {
+                world_size: world,
+                per_rank_batch: per_rank,
+                steps: 20,
+                eval_every: 5,
+                seed: 17,
+                ..base
+            };
+            match run {
+                Run::Resume => resume_at_10(cfg, &train_dl, &val_dl, s),
+                Run::World20 => {
+                    let cfg = TrainConfig {
+                        clip_norm: Some(200.0),
+                        skip_nonfinite_updates: true,
+                        ..cfg
+                    };
+                    let mut model = mp_model(17);
+                    let log = Trainer::new(cfg).train(&mut model, &train_dl, Some(&val_dl));
+                    (log, model)
+                }
+                _ => {
+                    let mut model = mp_model(17);
+                    let log = Trainer::new(cfg).train(&mut model, &train_dl, Some(&val_dl));
+                    (log, model)
+                }
+            }
+        }
+    }
+}
+
+/// Train to step 10 with a checkpoint there, rebuild everything from the
+/// file and resume to `cfg.steps`; returns the two halves' records
+/// stitched together and the resumed model.
+fn resume_at_10(
+    cfg: TrainConfig,
+    train_dl: &DataLoader<'_>,
+    val_dl: &DataLoader<'_>,
+    s: Schedule,
+) -> (TrainLog, TaskModel) {
+    let dir = std::env::temp_dir().join(format!(
+        "matsciml-golden-resume-{}-{}-{}-{}",
+        std::process::id(),
+        s.overlap,
+        s.parallel,
+        s.readahead_threads
+    ));
+    // The trainer forces an eval on a run's last step; 3 divides the
+    // interrupted run's last step (9), so both halves evaluate on the
+    // straight run's schedule.
+    let cfg = TrainConfig { eval_every: 3, ..cfg };
+    let half_cfg = TrainConfig {
+        steps: 10,
+        checkpoint_every: 10,
+        checkpoint_dir: Some(dir.to_str().unwrap().to_string()),
+        ..cfg.clone()
+    };
+    let mut half_model = mp_model(17);
+    let half = Trainer::new(half_cfg).train(&mut half_model, train_dl, Some(val_dl));
+    let ckpt = TrainCheckpoint::load(dir.join("step10.mckpt")).expect("checkpoint must load");
+    std::fs::remove_dir_all(&dir).ok();
+    let resume_cfg = TrainConfig {
+        steps: cfg.steps,
+        checkpoint_every: 0,
+        checkpoint_dir: None,
+        ..ckpt.config.clone()
+    };
+    let (model, mut tail) = Trainer::new(resume_cfg).resume(ckpt, train_dl, Some(val_dl));
+    tail.records = half.records.into_iter().chain(tail.records).collect();
+    (tail, model)
 }
 
 /// FNV-1a, 64-bit.
@@ -103,35 +229,65 @@ fn render(log: &TrainLog, model: &TaskModel) -> String {
     out
 }
 
-#[test]
-fn every_step_schedule_reproduces_the_golden_run() {
-    let golden = std::fs::read_to_string(golden_path()).expect("golden file is committed");
-    for overlap in [false, true] {
-        for parallel in [false, true] {
-            for readahead_threads in [0, 1] {
-                let (log, model) = run(overlap, parallel, readahead_threads);
-                assert_eq!(log.records.len(), STEPS as usize);
-                let got = render(&log, &model);
-                for (line, (g, w)) in got.lines().zip(golden.lines()).enumerate() {
-                    assert_eq!(
-                        g, w,
-                        "overlap {overlap} parallel {parallel} readahead {readahead_threads}: \
-                         line {} differs from the golden run",
-                        line + 1
-                    );
-                }
-                assert_eq!(got.lines().count(), golden.lines().count());
-            }
+fn check(run: Run, schedules: &[Schedule]) {
+    let golden = std::fs::read_to_string(run.golden_path()).expect("golden file is committed");
+    for &s in schedules {
+        let (log, model) = train(run, s);
+        let got = render(&log, &model);
+        for (line, (g, w)) in got.lines().zip(golden.lines()).enumerate() {
+            assert_eq!(g, w, "{run:?} {s:?}: line {} differs from the golden run", line + 1);
         }
+        assert_eq!(got.lines().count(), golden.lines().count(), "{run:?} {s:?}: line count");
     }
 }
 
-/// Rewrites the golden file from the default schedule.
+fn every_schedule() -> Vec<Schedule> {
+    let mut all = Vec::new();
+    for overlap in [false, true] {
+        for parallel in [false, true] {
+            for readahead_threads in [0, 1] {
+                all.push(Schedule { overlap, parallel, readahead_threads });
+            }
+        }
+    }
+    all
+}
+
+/// The two ends of the schedule matrix: everything inline and sequential,
+/// and everything overlapped, parallel and read ahead.
+const ENDS: [Schedule; 2] = [
+    Schedule { overlap: false, parallel: false, readahead_threads: 0 },
+    Schedule { overlap: true, parallel: true, readahead_threads: 1 },
+];
+
+#[test]
+fn every_step_schedule_reproduces_the_golden_run() {
+    check(Run::Ddp2Rank, &every_schedule());
+}
+
+#[test]
+fn resumed_run_reproduces_its_golden_digest() {
+    check(Run::Resume, &ENDS);
+}
+
+#[test]
+fn three_epoch_pipeline_run_reproduces_its_golden_digest() {
+    check(Run::Pipeline, &ENDS);
+}
+
+#[test]
+fn world_20_clipped_run_reproduces_its_golden_digest() {
+    check(Run::World20, &ENDS);
+}
+
+/// Rewrites every golden file from the default schedule.
 #[test]
 #[ignore = "rewrites tests/golden; run only after an intentional numerical change"]
 fn write_golden() {
-    let (log, model) = run(false, true, 0);
-    let path = golden_path();
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(path, render(&log, &model)).unwrap();
+    for run in [Run::Ddp2Rank, Run::Resume, Run::Pipeline, Run::World20] {
+        let (log, model) = train(run, DEFAULT_SCHEDULE);
+        let path = run.golden_path();
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, render(&log, &model)).unwrap();
+    }
 }

@@ -82,6 +82,7 @@ fn grad_scatter_mean_and_weighted_scatter() {
 /// The full E(n)-GNN edge pipeline, once with the generic ops and once
 /// with the fused ops, on the same parameter values. Everything —
 /// forward value, h/x/w gradients — must agree bitwise.
+#[allow(clippy::too_many_arguments)]
 fn egnn_edge_pipeline(
     g: &mut Graph,
     fused: bool,

@@ -142,11 +142,11 @@ fn main() {
     let mut bytes_saved = 0u64;
     let mut unfused_calls = 0u64;
     for rep in 0..reps {
-        for arm in 0..ARMS.len() {
+        for (arm, arm_times) in times.iter_mut().enumerate() {
             let e0 = edge_stats();
             let t0 = Instant::now();
             run_arm(arm, &mut tapes, &mut cache, &mut losses, &mut nodes);
-            times[arm].push(t0.elapsed().as_secs_f64());
+            arm_times.push(t0.elapsed().as_secs_f64());
             let d = edge_stats().since(&e0);
             if arm == 2 {
                 fused_calls += d.fused_calls;

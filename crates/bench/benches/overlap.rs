@@ -92,9 +92,7 @@ fn main() {
 
     // Warmup both arms (tapes and pool reach steady state), then time in
     // alternation.
-    model.params.zero_grads();
     let warm_seq = ddp_step(&mut model, input, &seq, 0, &obs, &mut seq_tapes);
-    model.params.zero_grads();
     let warm_ov = ddp_step(&mut model, input, &ov, 0, &obs, &mut ov_tapes);
     assert_eq!(
         warm_seq.get("loss").unwrap().to_bits(),
@@ -107,12 +105,10 @@ fn main() {
     let mut bits_match = true;
     for rep in 0..reps {
         let step = rep as u64 + 1;
-        model.params.zero_grads();
         let t0 = Instant::now();
         let m_seq = ddp_step(&mut model, input, &seq, step, &obs, &mut seq_tapes);
         seq_times.push(t0.elapsed().as_secs_f64());
 
-        model.params.zero_grads();
         let t0 = Instant::now();
         let m_ov = ddp_step(&mut model, input, &ov, step, &obs, &mut ov_tapes);
         ov_times.push(t0.elapsed().as_secs_f64());

@@ -287,7 +287,7 @@ mod tests {
             assert_eq!(back.name(id), ps.name(id));
             assert_eq!(back.value(id).shape(), ps.value(id).shape());
             assert_eq!(bits(back.value(id)), bits(ps.value(id)));
-            assert!(back.grad(id).as_slice().iter().all(|&g| g == 0.0));
+            assert!(back.grad(id).iter().all(|&g| g == 0.0));
         }
     }
 

@@ -48,10 +48,8 @@ proptest! {
             || t.energy.is_some()
             || t.sym_label.is_some();
         prop_assert!(labeled, "sample carries no targets");
-        for v in [t.band_gap, t.fermi_energy, t.formation_energy, t.energy] {
-            if let Some(v) = v {
-                prop_assert!(v.is_finite());
-            }
+        for v in [t.band_gap, t.fermi_energy, t.formation_energy, t.energy].into_iter().flatten() {
+            prop_assert!(v.is_finite());
         }
     }
 
@@ -102,7 +100,7 @@ proptest! {
         let train = DataLoader::new(&ds, None, Split::Train, val_fraction, 1, 0);
         let val = DataLoader::new(&ds, None, Split::Val, val_fraction, 1, 0);
         prop_assert_eq!(train.len() + val.len(), size);
-        prop_assert!(val.len() >= 1, "val split must be non-empty at these sizes");
+        prop_assert!(!val.is_empty(), "val split must be non-empty at these sizes");
     }
 
     #[test]

@@ -269,7 +269,7 @@ mod tests {
         g.backward(loss);
         ps.absorb_grads(&g, 1.0);
         let touched = (0..ps.len())
-            .filter(|&i| ps.grad(matsciml_nn::ParamId(i)).sumsq() > 0.0)
+            .filter(|&i| ps.grad(matsciml_nn::ParamId(i)).iter().any(|&g| g != 0.0))
             .count();
         assert_eq!(touched, ps.len(), "{touched}/{} params received gradient", ps.len());
     }

@@ -1,8 +1,10 @@
 //! Flat gradient buckets: the allreduce substrate for the DDP simulator.
 //!
-//! A [`BucketLayout`] maps every parameter tensor of a [`ParamSet`] into one
-//! contiguous `f32` buffer via `(offset, len)` spans, in registration order.
-//! A [`GradBucket`] is one such buffer. Reducing gradients over N ranks then
+//! A [`BucketLayout`] maps every parameter tensor of a
+//! [`ParamSet`](crate::ParamSet) into one contiguous `f32` buffer via
+//! `(offset, len)` spans, in registration order: the layout of the store's
+//! own gradient arena. A [`GradBucket`] is one such buffer, registered
+//! with the byte accounting below. Reducing gradients over N ranks then
 //! becomes flat vector adds over a handful of buckets instead of
 //! `N × num_params` tensor-granularity operations — one loop, no per-tensor
 //! dispatch, no `N × params` resident clones.
@@ -11,10 +13,11 @@
 //!
 //! * ranks are split into [`reduce_slots`]`(world)` contiguous groups
 //!   ([`rank_range`]); each group folds its ranks **in rank order** into one
-//!   slot bucket as soon as each rank's backward pass finishes (streaming —
-//!   the rank's tape is dropped before the next rank runs);
-//! * slot buckets are then combined by a fixed pairwise tree
-//!   ([`tree_reduce_into_first`]).
+//!   slot buffer as soon as each rank's backward pass finishes (streaming —
+//!   the rank's tape is reset before the next rank runs);
+//! * slot buffers are then combined part by part ([`PartitionedLayout`])
+//!   by a fixed pairwise tree ([`tree_reduce_into_first`]) and averaged
+//!   ([`finish_average`]).
 //!
 //! Because both the group fold order and the tree shape depend only on
 //! `world_size`, the summation bracketing never depends on the thread
@@ -23,14 +26,17 @@
 //! Every bucket registers its buffer size with a global live/peak byte
 //! counter ([`bucket_bytes_live`] / [`bucket_bytes_peak`]), which is how the
 //! tests assert the memory bound: a world-512 DDP step keeps at most
-//! `reduce_slots(512) = `[`MAX_REDUCE_SLOTS`] buckets resident —
+//! `reduce_slots(512) = `[`MAX_REDUCE_SLOTS`] gradient buffers resident —
+//! the store's arena, which slot 0 folds into, and one persistent bucket
+//! per other slot —
 //! O(threads × param-bytes), not O(world × param-bytes).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use matsciml_tensor::kernels;
+use serde::{Deserialize, Serialize};
 
-use crate::params::ParamSet;
 
 /// Upper bound on simultaneously resident reduction slots (and on useful
 /// reduction threads). Matches one dual-socket node's DDP ranks in the
@@ -75,7 +81,7 @@ pub fn rank_range(world_size: usize, slots: usize, slot: usize) -> std::ops::Ran
 }
 
 /// The span table mapping parameter tensors into one flat buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BucketLayout {
     /// `(offset, len)` per parameter, in registration order.
     spans: Vec<(usize, usize)>,
@@ -86,21 +92,17 @@ impl BucketLayout {
     /// Build a layout from per-parameter element counts, packed contiguously
     /// in order.
     pub fn from_numels(numels: &[usize]) -> Self {
-        let mut spans = Vec::with_capacity(numels.len());
-        let mut offset = 0;
+        let mut layout = BucketLayout::default();
         for &n in numels {
-            spans.push((offset, n));
-            offset += n;
+            layout.push(n);
         }
-        BucketLayout {
-            spans,
-            total: offset,
-        }
+        layout
     }
 
-    /// Layout of a parameter store's gradients (identical to its values).
-    pub fn of(params: &ParamSet) -> Self {
-        params.bucket_layout()
+    /// Append a span of `len` scalars at the end of the buffer.
+    pub fn push(&mut self, len: usize) {
+        self.spans.push((self.total, len));
+        self.total += len;
     }
 
     /// Number of parameter spans.
@@ -111,6 +113,12 @@ impl BucketLayout {
     /// `(offset, len)` of span `i`.
     pub fn span(&self, i: usize) -> (usize, usize) {
         self.spans[i]
+    }
+
+    /// Scalar range of span `i` in the flat buffer.
+    pub fn range(&self, i: usize) -> Range<usize> {
+        let (off, len) = self.spans[i];
+        off..off + len
     }
 
     /// Total scalar count across all spans.
@@ -124,234 +132,122 @@ impl BucketLayout {
     }
 }
 
-/// One size-capped bucket of a [`PartitionedLayout`]: a [`BucketLayout`]
-/// over a subset of the parameters, plus the global parameter index each
-/// local span maps back to.
+/// A [`BucketLayout`] split into K size-capped **contiguous** parts
+/// ordered by **reverse registration order** — the allreduce substrate
+/// for backward↔comm overlap.
+///
+/// Parameters register in forward order, and during a reverse sweep
+/// gradients finalize in reverse order: the last-registered parameter is
+/// ready first. Part 0 therefore covers the tail of the flat buffer and
+/// fills while most of backward is still ahead, so a comm worker can
+/// reduce it *under* the remaining backward work. Each part is a
+/// contiguous run of spans capped at `cap_bytes` (a parameter larger
+/// than the cap gets a part of its own), so it is one scalar range of
+/// the flat buffer — of the parameter store's gradient arena as much as
+/// of a slot's fold buffer.
+///
+/// Splitting changes no arithmetic: the fold, the pairwise slot tree and
+/// the `1/world` average are all elementwise, so K per-part reductions
+/// are bit-identical to one whole-buffer reduction — only *when* each
+/// span reduces moves.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BucketPart {
+pub struct PartitionedLayout {
     layout: BucketLayout,
-    param_ids: Vec<usize>,
+    /// Scalar range of each part, part 0 first (the highest offsets).
+    parts: Vec<Range<usize>>,
+    /// Part of each span.
+    part_of: Vec<usize>,
 }
 
-impl BucketPart {
-    /// The span table of this part's flat buffer (span `i` ↔
-    /// `param_ids()[i]`).
+impl PartitionedLayout {
+    /// Partition `layout` into parts of at most `cap_bytes` (or one
+    /// span), packed greedily from the last span backwards.
+    pub fn reverse_registration(layout: &BucketLayout, cap_bytes: usize) -> Self {
+        let cap = cap_bytes.max(1);
+        let mut parts: Vec<Range<usize>> = Vec::new();
+        let mut part_of = vec![0; layout.num_spans()];
+        for id in (0..layout.num_spans()).rev() {
+            let span = layout.range(id);
+            let bytes = span.len() * std::mem::size_of::<f32>();
+            match parts.last_mut() {
+                Some(cur) if (cur.len() * std::mem::size_of::<f32>()) + bytes <= cap => {
+                    cur.start = span.start;
+                }
+                // Otherwise the span opens a new part, so a parameter
+                // larger than the cap gets one of its own.
+                _ => parts.push(span),
+            }
+            part_of[id] = parts.len() - 1;
+        }
+        PartitionedLayout { layout: layout.clone(), parts, part_of }
+    }
+
+    /// The per-parameter span table the parts cover.
     pub fn layout(&self) -> &BucketLayout {
         &self.layout
     }
 
-    /// Global parameter index of each local span, in part order.
-    pub fn param_ids(&self) -> &[usize] {
-        &self.param_ids
-    }
-}
-
-/// A [`BucketLayout`] split into K size-capped buckets ordered by
-/// **reverse parameter-touch order** — the allreduce substrate for
-/// backward↔comm overlap.
-///
-/// During a reverse sweep, gradients finalize in reverse touch order:
-/// the last-touched parameter is ready first. Packing buckets in that
-/// order means bucket 0 fills while most of backward is still ahead, so a
-/// comm worker can reduce it *under* the remaining backward work. Every
-/// bucket covers a contiguous run of the reverse-touch sequence capped at
-/// `cap_bytes` (a parameter larger than the cap gets a bucket of its
-/// own); parameters absent from the touch order (never inserted into the
-/// tape) are appended to the final bucket — their spans stay zero, which
-/// reduces and scatters to exactly the no-op the single-bucket path
-/// performs for them.
-///
-/// Splitting changes no arithmetic: per-span copy/add folds, the pairwise
-/// slot tree, the `1/world` scale, and the scatter are all elementwise
-/// within a span, so K per-part reductions are bit-identical to one
-/// whole-layout reduction — only *when* each span reduces moves.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionedLayout {
-    parts: Vec<BucketPart>,
-    /// Per global parameter: `(part, span-within-part)`.
-    lookup: Vec<(u32, u32)>,
-}
-
-impl PartitionedLayout {
-    /// Partition `numels` (per-parameter element counts, indexed by global
-    /// parameter id) into size-capped buckets along the reverse of
-    /// `touch_order` (parameter ids in forward-touch order; duplicates
-    /// keep their first occurrence, unknown ids panic).
-    pub fn by_reverse_touch(numels: &[usize], touch_order: &[usize], cap_bytes: usize) -> Self {
-        let cap = cap_bytes.max(1);
-        let mut seen = vec![false; numels.len()];
-        let mut order: Vec<usize> = Vec::with_capacity(numels.len());
-        for &id in touch_order.iter().rev() {
-            assert!(id < numels.len(), "touch_order id {id} out of range");
-            if !seen[id] {
-                seen[id] = true;
-                order.push(id);
-            }
-        }
-        // Reversed iteration keeps the *last* duplicate occurrence, but a
-        // leaf finalizes once per occurrence and spans are id-keyed, so
-        // any single placement is correct; reverse-of-first-touch and
-        // last-touch only differ for re-inserted parameters.
-        let untouched: Vec<usize> = (0..numels.len()).filter(|&id| !seen[id]).collect();
-
-        let mut parts: Vec<Vec<usize>> = Vec::new();
-        let mut cur: Vec<usize> = Vec::new();
-        let mut cur_bytes = 0usize;
-        for id in order {
-            let bytes = numels[id] * std::mem::size_of::<f32>();
-            if !cur.is_empty() && cur_bytes + bytes > cap {
-                parts.push(std::mem::take(&mut cur));
-                cur_bytes = 0;
-            }
-            cur.push(id);
-            cur_bytes += bytes;
-        }
-        if !cur.is_empty() {
-            parts.push(cur);
-        }
-        // Untouched parameters ride in the final bucket: they gate nothing
-        // (no leaf ever fires for them) and scatter only zeros.
-        match parts.last_mut() {
-            Some(last) => last.extend(untouched),
-            None if !untouched.is_empty() => parts.push(untouched),
-            None => {}
-        }
-
-        let mut lookup = vec![(u32::MAX, u32::MAX); numels.len()];
-        let parts: Vec<BucketPart> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(p, ids)| {
-                let sizes: Vec<usize> = ids.iter().map(|&id| numels[id]).collect();
-                for (s, &id) in ids.iter().enumerate() {
-                    lookup[id] = (p as u32, s as u32);
-                }
-                BucketPart {
-                    layout: BucketLayout::from_numels(&sizes),
-                    param_ids: ids,
-                }
-            })
-            .collect();
-        PartitionedLayout { parts, lookup }
-    }
-
-    /// Number of buckets.
+    /// Number of parts.
     pub fn num_parts(&self) -> usize {
         self.parts.len()
     }
 
-    /// Bucket `p`.
-    pub fn part(&self, p: usize) -> &BucketPart {
-        &self.parts[p]
+    /// Scalar range of part `p` in the flat buffer.
+    pub fn part(&self, p: usize) -> Range<usize> {
+        self.parts[p].clone()
     }
 
-    /// Iterate the buckets in firing order (bucket 0 finalizes first).
-    pub fn parts(&self) -> impl Iterator<Item = &BucketPart> {
-        self.parts.iter()
+    /// The part holding parameter `id`, and the parameter's scalar range
+    /// within that part.
+    pub fn locate(&self, id: usize) -> (usize, Range<usize>) {
+        let p = self.part_of[id];
+        let (span, start) = (self.layout.range(id), self.parts[p].start);
+        (p, span.start - start..span.end - start)
     }
 
-    /// `(part, span-within-part)` of global parameter `id`.
-    pub fn locate(&self, id: usize) -> (usize, usize) {
-        let (p, s) = self.lookup[id];
-        assert!(p != u32::MAX, "parameter {id} not covered by the partition");
-        (p as usize, s as usize)
-    }
-
-    /// Total scalar count across every bucket (equals the unsplit
-    /// layout's).
+    /// Total scalar count across every part (equals the layout's).
     pub fn total_scalars(&self) -> usize {
-        self.parts.iter().map(|p| p.layout.total_scalars()).sum()
+        self.layout.total_scalars()
+    }
+
+    /// Split a flat buffer of this layout into its parts' disjoint
+    /// slices, indexed by part.
+    pub fn split_mut<'a>(&self, mut buf: &'a mut [f32]) -> Vec<Option<&'a mut [f32]>> {
+        assert_eq!(buf.len(), self.total_scalars(), "split_mut: buffer length");
+        let mut out: Vec<Option<&'a mut [f32]>> = (0..self.parts.len()).map(|_| None).collect();
+        // Parts run from the end of the buffer to its start.
+        for (p, range) in self.parts.iter().enumerate() {
+            let (head, tail) = std::mem::take(&mut buf).split_at_mut(range.start);
+            out[p] = Some(tail);
+            buf = head;
+        }
+        out
     }
 }
 
-/// One flat gradient buffer described by a [`BucketLayout`].
+/// One zeroed flat gradient buffer (a DDP slot's fold buffer),
+/// registered with the live/peak byte counters for its lifetime.
 #[derive(Debug)]
-pub struct GradBucket {
-    layout: BucketLayout,
-    data: Vec<f32>,
-}
+pub struct GradBucket(Vec<f32>);
 
 impl GradBucket {
-    /// A zeroed bucket for `layout`. Registers its bytes with the global
-    /// live/peak counters.
-    pub fn zeros(layout: BucketLayout) -> Self {
-        let bytes = layout.bytes();
+    /// A zeroed buffer of `scalars` values.
+    pub fn zeros(scalars: usize) -> Self {
+        let bytes = scalars * std::mem::size_of::<f32>();
         let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
         PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-        GradBucket {
-            data: vec![0.0; layout.total_scalars()],
-            layout,
-        }
-    }
-
-    /// The span table.
-    pub fn layout(&self) -> &BucketLayout {
-        &self.layout
+        GradBucket(vec![0.0; scalars])
     }
 
     /// The whole flat buffer.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Mutable flat buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// The slice of span `i` (the scatter side of the round trip).
-    pub fn span_slice(&self, i: usize) -> &[f32] {
-        let (off, len) = self.layout.span(i);
-        &self.data[off..off + len]
-    }
-
-    /// Overwrite span `i` from a flat slice (the gather side).
-    pub fn copy_span(&mut self, i: usize, src: &[f32]) {
-        let (off, len) = self.layout.span(i);
-        assert_eq!(src.len(), len, "copy_span: span {i} length mismatch");
-        self.data[off..off + len].copy_from_slice(src);
-    }
-
-    /// `span_i += src * s` — how a rank's per-parameter gradients stream
-    /// into a slot bucket.
-    pub fn add_span(&mut self, i: usize, src: &[f32], s: f32) {
-        let (off, len) = self.layout.span(i);
-        assert_eq!(src.len(), len, "add_span: span {i} length mismatch");
-        if s == 1.0 {
-            kernels::vadd(&mut self.data[off..off + len], src);
-        } else {
-            kernels::axpy(&mut self.data[off..off + len], src, s);
-        }
-    }
-
-    /// `self += other` over the whole flat buffer — the tree-reduce step.
-    pub fn add(&mut self, other: &GradBucket) {
-        assert_eq!(
-            self.layout, other.layout,
-            "GradBucket::add: layouts differ"
-        );
-        kernels::vadd(&mut self.data, &other.data);
-    }
-
-    /// Scale the whole buffer (the `1/world_size` averaging step).
-    pub fn scale(&mut self, s: f32) {
-        kernels::scale(&mut self.data, s);
-    }
-
-    /// Sum of squares over the buffer (f64 accumulation).
-    pub fn sumsq(&self) -> f64 {
-        kernels::sumsq(&self.data)
-    }
-
-    /// Zero the buffer in place for reuse.
-    pub fn clear(&mut self) {
-        kernels::fill(&mut self.data, 0.0);
+        &mut self.0
     }
 }
 
 impl Drop for GradBucket {
     fn drop(&mut self) {
-        LIVE_BYTES.fetch_sub(self.layout.bytes(), Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(self.0.len() * std::mem::size_of::<f32>(), Ordering::Relaxed);
     }
 }
 
@@ -359,17 +255,29 @@ impl Drop for GradBucket {
 /// array (0+=1, 2+=3, …; then 0+=2, 4+=6, …). The summation order is a
 /// function of `slots.len()` alone, so any two runs with the same world
 /// size — parallel or sequential — sum in the same bracketing.
-pub fn tree_reduce_into_first(slots: &mut [GradBucket]) {
+pub fn tree_reduce_into_first<B: AsMut<[f32]>>(slots: &mut [B]) {
     let n = slots.len();
     let mut stride = 1;
     while stride < n {
         let mut i = 0;
         while i + stride < n {
             let (head, tail) = slots.split_at_mut(i + stride);
-            head[i].add(&tail[0]);
+            kernels::vadd(head[i].as_mut(), tail[0].as_mut());
             i += 2 * stride;
         }
         stride *= 2;
+    }
+}
+
+/// The last pass of the allreduce: `x ← fl(fl(x · 1/world) + 0.0)` over a
+/// reduced part. The `+ 0.0` turns `-0.0` into `+0.0`, which is what
+/// adding the average into a zeroed accumulator produces, so a store that
+/// takes the average in place holds the same bits as one that
+/// accumulated it.
+pub fn finish_average(part: &mut [f32], world: usize) {
+    let inv = 1.0 / world as f32;
+    for x in part {
+        *x = *x * inv + 0.0;
     }
 }
 
@@ -393,22 +301,10 @@ mod tests {
     }
 
     #[test]
-    fn spans_round_trip() {
-        let mut b = GradBucket::zeros(layout3());
-        b.copy_span(0, &[1.0, 2.0]);
-        b.copy_span(1, &[3.0, 4.0, 5.0]);
-        b.copy_span(2, &[6.0]);
-        assert_eq!(b.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(b.span_slice(1), &[3.0, 4.0, 5.0]);
-        b.add_span(1, &[1.0, 1.0, 1.0], 2.0);
-        assert_eq!(b.span_slice(1), &[5.0, 6.0, 7.0]);
-    }
-
-    #[test]
     fn rank_ranges_partition_the_world() {
         for world in [1usize, 2, 4, 7, 16, 17, 512] {
             let slots = reduce_slots(world);
-            assert!(slots <= MAX_REDUCE_SLOTS && slots >= 1);
+            assert!((1..=MAX_REDUCE_SLOTS).contains(&slots));
             let mut next = 0;
             for slot in 0..slots {
                 let r = rank_range(world, slots, slot);
@@ -467,72 +363,62 @@ mod tests {
     }
 
     #[test]
-    fn partition_orders_buckets_by_reverse_touch() {
-        // params: 0 (2 elems), 1 (3), 2 (1), 3 (4, untouched).
-        // Touch order 2,0,1 → reverse touch 1,0,2. Cap of 20 bytes = 5
-        // floats per bucket.
-        let p = PartitionedLayout::by_reverse_touch(&[2, 3, 1, 4], &[2, 0, 1], 20);
+    fn partition_packs_contiguous_parts_from_the_end() {
+        // params: 0 (2 elems), 1 (3), 2 (1), 3 (4). A cap of 20 bytes = 5
+        // floats per part; packing runs 3, 2, 1, 0.
+        let layout = BucketLayout::from_numels(&[2, 3, 1, 4]);
+        let p = PartitionedLayout::reverse_registration(&layout, 20);
         assert_eq!(p.num_parts(), 2);
-        assert_eq!(p.part(0).param_ids(), &[1, 0]); // 3+2 floats fit
-        assert_eq!(p.part(1).param_ids(), &[2, 3]); // 2 spills; 3 untouched rides last
-        assert_eq!(p.locate(1), (0, 0));
-        assert_eq!(p.locate(0), (0, 1));
-        assert_eq!(p.locate(2), (1, 0));
-        assert_eq!(p.locate(3), (1, 1));
+        assert_eq!(p.part(0), 5..10); // params 3 and 2 (4 + 1 floats)
+        assert_eq!(p.part(1), 0..5); // params 1 and 0 (3 + 2 floats)
+        assert_eq!(p.locate(3), (0, 1..5));
+        assert_eq!(p.locate(2), (0, 0..1));
+        assert_eq!(p.locate(1), (1, 2..5));
+        assert_eq!(p.locate(0), (1, 0..2));
         assert_eq!(p.total_scalars(), 10);
-        assert_eq!(p.part(0).layout().span(1), (3, 2));
     }
 
     #[test]
-    fn partition_covers_every_param_exactly_once_at_any_cap() {
-        let numels = [5usize, 1, 7, 3, 2, 9, 4];
-        let touch = [3usize, 5, 0, 5, 1, 6, 3]; // duplicates, params 2 & 4 untouched
+    fn partition_covers_every_scalar_exactly_once_at_any_cap() {
+        let layout = BucketLayout::from_numels(&[5, 1, 7, 3, 0, 9, 4]);
         for cap in [1usize, 8, 24, 64, 1 << 20] {
-            let p = PartitionedLayout::by_reverse_touch(&numels, &touch, cap);
-            let mut seen = vec![0usize; numels.len()];
-            for (pi, part) in p.parts().enumerate() {
-                assert!(!part.param_ids().is_empty());
-                for (s, &id) in part.param_ids().iter().enumerate() {
-                    seen[id] += 1;
-                    assert_eq!(p.locate(id), (pi, s));
-                    assert_eq!(part.layout().span(s).1, numels[id]);
+            let p = PartitionedLayout::reverse_registration(&layout, cap);
+            let mut buf: Vec<f32> = (0..layout.total_scalars()).map(|i| i as f32).collect();
+            let parts = p.split_mut(&mut buf);
+            let mut seen = vec![0usize; layout.total_scalars()];
+            for (pi, part) in parts.iter().enumerate() {
+                let part = part.as_deref().unwrap();
+                assert_eq!(part.len(), p.part(pi).len(), "cap {cap}");
+                for &x in part {
+                    seen[x as usize] += 1;
                 }
             }
             assert!(seen.iter().all(|&c| c == 1), "cap {cap}: cover exactly once");
-            assert_eq!(p.total_scalars(), numels.iter().sum::<usize>());
+            for id in 0..layout.num_spans() {
+                let (pi, r) = p.locate(id);
+                let part = parts[pi].as_deref().unwrap();
+                let (offset, len) = layout.span(id);
+                assert_eq!(part[r].first().copied(), (len > 0).then_some(offset as f32));
+            }
         }
-    }
-
-    #[test]
-    fn partition_with_giant_cap_is_a_single_bucket() {
-        let p = PartitionedLayout::by_reverse_touch(&[2, 3], &[0, 1], usize::MAX);
-        assert_eq!(p.num_parts(), 1);
-        assert_eq!(p.part(0).param_ids(), &[1, 0]);
+        let one = PartitionedLayout::reverse_registration(&layout, usize::MAX);
+        assert_eq!((one.num_parts(), one.part(0)), (1, 0..29));
     }
 
     #[test]
     fn tree_reduce_sums_every_slot_once() {
-        let l = BucketLayout::from_numels(&[4]);
         for n in 1..=9usize {
-            let mut slots: Vec<GradBucket> = (0..n)
-                .map(|s| {
-                    let mut b = GradBucket::zeros(l.clone());
-                    b.copy_span(0, &[(s + 1) as f32; 4]);
-                    b
-                })
-                .collect();
+            let mut slots: Vec<Vec<f32>> = (1..=n).map(|s| vec![s as f32; 4]).collect();
             tree_reduce_into_first(&mut slots);
             let want = (n * (n + 1) / 2) as f32;
-            assert_eq!(slots[0].as_slice(), &[want; 4], "n = {n}");
+            assert_eq!(slots[0], [want; 4], "n = {n}");
         }
     }
 
     #[test]
     fn byte_accounting_tracks_lifetimes() {
         let before = bucket_bytes_live();
-        let l = BucketLayout::from_numels(&[256]);
-        let a = GradBucket::zeros(l.clone());
-        let b = GradBucket::zeros(l);
+        let (a, b) = (GradBucket::zeros(256), GradBucket::zeros(256));
         assert_eq!(bucket_bytes_live(), before + 2 * 1024);
         assert!(bucket_bytes_peak() >= before + 2 * 1024);
         drop(a);

@@ -16,7 +16,7 @@ mod layers;
 mod mlp;
 mod params;
 
-pub use bucket::{BucketLayout, BucketPart, GradBucket, PartitionedLayout};
+pub use bucket::{BucketLayout, GradBucket, PartitionedLayout};
 pub use embedding::Embedding;
 pub use layers::{
     fused_edges, fused_linear, set_fused_edges, set_fused_linear, Activation, BatchNorm,

@@ -373,7 +373,7 @@ mod tests {
             ps.absorb_grads(&g, 1.0);
             let lr = 0.05;
             for (v, grad) in ps.pairs_mut() {
-                v.add_scaled_inplace(grad, -lr);
+                matsciml_tensor::kernels::axpy(v.as_mut_slice(), grad, -lr);
             }
         }
         let (fin, _, _) = loss_of(&ps);

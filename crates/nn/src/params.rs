@@ -1,49 +1,44 @@
 //! The parameter store shared by layers, tapes, and optimizers.
 
 use matsciml_autograd::{Graph, Var};
-use matsciml_tensor::Tensor;
+use matsciml_tensor::{kernels, Tensor};
 use serde::{Deserialize, Serialize};
 
-use crate::bucket::{BucketLayout, GradBucket};
+use crate::bucket::BucketLayout;
 
 /// Handle to one parameter tensor in a [`ParamSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ParamId(pub usize);
 
-/// A named collection of parameter tensors and their gradient accumulators.
+/// A named collection of parameter tensors and their gradients.
 ///
 /// This is the durable state of a model: layers register parameters at
 /// construction time, each training step inserts them into a fresh tape,
-/// and optimizers walk `values`/`grads` in lock-step. Serializable for
-/// checkpointing pretrained weights between experiments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// and optimizers walk values and gradients in lock-step. Values are
+/// per-tensor handles; gradients live in one flat arena in registration
+/// order ([`ParamSet::bucket_layout`]), so a run of consecutive
+/// parameters is one contiguous range. Serializable for checkpointing
+/// pretrained weights between experiments.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParamSet {
     values: Vec<Tensor>,
-    grads: Vec<Tensor>,
+    layout: BucketLayout,
+    grads: Vec<f32>,
     names: Vec<String>,
-}
-
-impl Default for ParamSet {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ParamSet {
     /// An empty store.
     pub fn new() -> Self {
-        ParamSet {
-            values: Vec::new(),
-            grads: Vec::new(),
-            names: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Register a parameter, returning its handle. Names are diagnostic
     /// (duplicates allowed) and appear in checkpoint files.
     pub fn register(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         let id = ParamId(self.values.len());
-        self.grads.push(Tensor::zeros(value.shape()));
+        self.layout.push(value.numel());
+        self.grads.resize(self.layout.total_scalars(), 0.0);
         self.values.push(value);
         self.names.push(name.into());
         id
@@ -61,7 +56,7 @@ impl ParamSet {
 
     /// Total scalar parameter count across all tensors.
     pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(Tensor::numel).sum()
+        self.layout.total_scalars()
     }
 
     /// Current value of a parameter.
@@ -74,9 +69,27 @@ impl ParamSet {
         &mut self.values[id.0]
     }
 
-    /// Accumulated gradient of a parameter.
-    pub fn grad(&self, id: ParamId) -> &Tensor {
-        &self.grads[id.0]
+    /// Gradient of a parameter: its span of the arena.
+    pub fn grad(&self, id: ParamId) -> &[f32] {
+        &self.grads[self.layout.range(id.0)]
+    }
+
+    /// The whole gradient arena, in registration order.
+    pub fn grads(&self) -> &[f32] {
+        &self.grads
+    }
+
+    /// Move the gradient arena out, leaving the store without one until
+    /// [`ParamSet::restore_grads`] — so a DDP step can write it while
+    /// ranks read the values through a shared borrow.
+    pub fn take_grads(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.grads)
+    }
+
+    /// Put back an arena taken by [`ParamSet::take_grads`].
+    pub fn restore_grads(&mut self, grads: Vec<f32>) {
+        assert_eq!(grads.len(), self.num_scalars(), "restore_grads: arena length");
+        self.grads = grads;
     }
 
     /// Diagnostic name of a parameter.
@@ -85,8 +98,13 @@ impl ParamSet {
     }
 
     /// Iterate over `(value, grad)` pairs — the optimizer's view.
-    pub fn pairs_mut(&mut self) -> impl Iterator<Item = (&mut Tensor, &Tensor)> {
-        self.values.iter_mut().zip(self.grads.iter())
+    pub fn pairs_mut(&mut self) -> impl Iterator<Item = (&mut Tensor, &mut [f32])> {
+        let mut rest = self.grads.as_mut_slice();
+        self.values.iter_mut().map(move |value| {
+            let (grad, tail) = std::mem::take(&mut rest).split_at_mut(value.numel());
+            rest = tail;
+            (value, grad)
+        })
     }
 
     /// Insert parameter `id` into a tape as a tagged leaf.
@@ -94,79 +112,32 @@ impl ParamSet {
         g.param(id.0, self.values[id.0].clone())
     }
 
-    /// Zero every gradient accumulator in place.
+    /// Zero every gradient in place.
     pub fn zero_grads(&mut self) {
-        for g in &mut self.grads {
-            g.fill_inplace(0.0);
-        }
+        kernels::fill(&mut self.grads, 0.0);
     }
 
     /// Accumulate the parameter gradients recorded on a finished tape,
-    /// scaled by `scale` (DDP averaging passes `1/world_size`).
+    /// scaled by `scale`.
     pub fn absorb_grads(&mut self, graph: &Graph, scale: f32) {
         for (id, grad) in graph.param_grads() {
-            self.grads[id].add_scaled_inplace(grad, scale);
+            kernels::axpy(&mut self.grads[self.layout.range(id)], grad.as_slice(), scale);
         }
     }
 
-    /// Accumulate one gradient tensor (by raw parameter index) scaled by
-    /// `scale` — the DDP allreduce primitive.
-    pub fn accumulate_grad(&mut self, index: usize, grad: &Tensor, scale: f32) {
-        self.grads[index].add_scaled_inplace(grad, scale);
+    /// The arena's span table: span `i` covers parameter `i`'s scalars,
+    /// packed contiguously in registration order.
+    pub fn bucket_layout(&self) -> &BucketLayout {
+        &self.layout
     }
 
-    /// The flat-bucket span table for this store: span `i` covers parameter
-    /// `i`'s scalars, packed contiguously in registration order.
-    pub fn bucket_layout(&self) -> BucketLayout {
-        let numels: Vec<usize> = self.grads.iter().map(Tensor::numel).collect();
-        BucketLayout::from_numels(&numels)
-    }
-
-    /// Accumulate one reduced bucket of a partitioned layout into the
-    /// per-parameter accumulators, scaled — the final scatter of the
-    /// bucketed allreduce: span `i` of `bucket` lands in parameter
-    /// `param_ids[i]` as one `axpy`.
-    pub fn absorb_flat_part(&mut self, param_ids: &[usize], bucket: &GradBucket, scale: f32) {
-        assert_eq!(
-            bucket.layout().num_spans(),
-            param_ids.len(),
-            "absorb_flat_part: bucket layout does not match part span count"
-        );
-        for (i, &id) in param_ids.iter().enumerate() {
-            let src = bucket.span_slice(i);
-            let g = &mut self.grads[id];
-            assert_eq!(
-                src.len(),
-                g.numel(),
-                "absorb_flat_part: span {i} (param {id}) size mismatch"
-            );
-            matsciml_tensor::kernels::axpy(g.as_mut_slice(), src, scale);
-        }
-    }
-
-    /// Add another store's gradients into this one, scaled. Both stores
-    /// must have identical layouts (clones of the same model).
-    pub fn absorb_grads_from(&mut self, other: &ParamSet, scale: f32) {
-        assert_eq!(
-            self.grads.len(),
-            other.grads.len(),
-            "absorb_grads_from: parameter layouts differ"
-        );
-        for (mine, theirs) in self.grads.iter_mut().zip(&other.grads) {
-            mine.add_scaled_inplace(theirs, scale);
-        }
-    }
-
-    /// Scale every gradient in place (fused slice kernel).
-    pub fn scale_grads(&mut self, scale: f32) {
-        for g in &mut self.grads {
-            matsciml_tensor::kernels::scale(g.as_mut_slice(), scale);
-        }
-    }
-
-    /// Global L2 norm over all gradients (f64 accumulation).
+    /// Global L2 norm over all gradients: one `f64` sum of squares per
+    /// parameter, added in registration order.
     pub fn grad_norm(&self) -> f32 {
-        self.grads.iter().map(Tensor::sumsq).sum::<f64>().sqrt() as f32
+        (0..self.len())
+            .map(|i| kernels::sumsq(self.grad(ParamId(i))))
+            .sum::<f64>()
+            .sqrt() as f32
     }
 
     /// Global L2 norm over all parameter values.
@@ -178,7 +149,7 @@ impl ParamSet {
     pub fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
         let norm = self.grad_norm();
         if norm > max_norm && norm > 0.0 {
-            self.scale_grads(max_norm / norm);
+            kernels::scale(&mut self.grads, max_norm / norm);
         }
         norm
     }
@@ -219,7 +190,7 @@ impl ParamSet {
 
     /// True when every parameter and gradient is finite.
     pub fn all_finite(&self) -> bool {
-        self.values.iter().all(Tensor::all_finite) && self.grads.iter().all(Tensor::all_finite)
+        self.values.iter().all(Tensor::all_finite) && self.grads.iter().all(|g| g.is_finite())
     }
 }
 
@@ -241,7 +212,7 @@ mod tests {
         assert_eq!(ps.num_scalars(), 5);
         assert_eq!(ps.name(a), "a");
         assert_eq!(ps.value(b).as_slice(), &[3.0, 4.0, 5.0]);
-        assert_eq!(ps.grad(a).as_slice(), &[0.0, 0.0]);
+        assert_eq!(ps.grad(a), &[0.0, 0.0]);
     }
 
     #[test]
@@ -253,12 +224,12 @@ mod tests {
         let loss = g.sum_all(doubled);
         g.backward(loss);
         ps.absorb_grads(&g, 0.5);
-        assert_eq!(ps.grad(a).as_slice(), &[1.0, 1.0]);
+        assert_eq!(ps.grad(a), &[1.0, 1.0]);
         // Absorbing again accumulates.
         ps.absorb_grads(&g, 0.5);
-        assert_eq!(ps.grad(a).as_slice(), &[2.0, 2.0]);
+        assert_eq!(ps.grad(a), &[2.0, 2.0]);
         ps.zero_grads();
-        assert_eq!(ps.grad(a).as_slice(), &[0.0, 0.0]);
+        assert_eq!(ps.grad(a), &[0.0, 0.0]);
     }
 
     #[test]
@@ -290,14 +261,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "layouts differ")]
-    fn absorb_from_mismatched_layout_panics() {
-        let (mut ps, _, _) = simple_store();
-        let other = ParamSet::new();
-        ps.absorb_grads_from(&other, 1.0);
-    }
-
-    #[test]
     fn bucket_layout_matches_registration_order() {
         let (ps, _, _) = simple_store();
         let layout = ps.bucket_layout();
@@ -305,21 +268,6 @@ mod tests {
         assert_eq!(layout.span(0), (0, 2));
         assert_eq!(layout.span(1), (2, 3));
         assert_eq!(layout.total_scalars(), ps.num_scalars());
-    }
-
-    #[test]
-    fn absorb_flat_part_scatters_spans_into_grads() {
-        let (mut ps, a, b) = simple_store();
-        // One part holding both parameters in reverse order.
-        let mut bucket = GradBucket::zeros(BucketLayout::from_numels(&[3, 2]));
-        bucket.copy_span(0, &[6.0, 8.0, 10.0]);
-        bucket.copy_span(1, &[2.0, 4.0]);
-        ps.absorb_flat_part(&[1, 0], &bucket, 0.5);
-        assert_eq!(ps.grad(a).as_slice(), &[1.0, 2.0]);
-        assert_eq!(ps.grad(b).as_slice(), &[3.0, 4.0, 5.0]);
-        // Accumulates on a second absorb rather than overwriting.
-        ps.absorb_flat_part(&[1, 0], &bucket, 0.5);
-        assert_eq!(ps.grad(a).as_slice(), &[2.0, 4.0]);
     }
 
     #[test]

@@ -99,7 +99,7 @@ fn heads_train_with_either_norm() {
             // Step small enough that plain SGD converges for any init draw;
             // larger steps can oscillate through the BatchNorm head.
             for (v, grad) in ps.pairs_mut() {
-                v.add_scaled_inplace(grad, -0.02);
+                matsciml_tensor::kernels::axpy(v.as_mut_slice(), grad, -0.02);
             }
         }
         assert!(

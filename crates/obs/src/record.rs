@@ -748,7 +748,7 @@ mod tests {
 
     #[test]
     fn events_roundtrip_through_jsonl() {
-        let events = vec![
+        let events = [
             Event::run_start(start_event()),
             Event::step(step_event(0)),
             Event::eval(EvalEvent {

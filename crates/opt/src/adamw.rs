@@ -1,7 +1,9 @@
 //! AdamW: Adam with decoupled weight decay (Loshchilov & Hutter 2019).
 
 use matsciml_nn::ParamSet;
-use matsciml_tensor::Tensor;
+use matsciml_tensor::{kernels, Tensor};
+
+use crate::InstabilityProbe;
 use serde::{Deserialize, Serialize};
 
 /// Hyperparameters for [`AdamW`]. Defaults match the paper's Section 4.2:
@@ -123,37 +125,111 @@ impl AdamW {
         }
     }
 
-    /// Apply one update from the gradients currently accumulated in
-    /// `params` (the caller zeroes them afterwards).
+    /// Apply one update from the gradients currently held in `params`.
     pub fn step(&mut self, params: &mut ParamSet) {
+        self.sweep(params, None, None, true);
+    }
+
+    /// The training step's optimizer epilogue in one sweep over the
+    /// gradient arena: `probe` observes `loss` and the gradient, the
+    /// global gradient norm is taken, the gradient is clipped to
+    /// `clip_norm`, and the update is applied unless `skip_nonfinite` is
+    /// set and the norm is not finite. Returns the pre-clip norm and
+    /// whether the update was applied.
+    ///
+    /// The result is bit-identical to `probe.observe`, then
+    /// `params.clip_grad_norm` (or `grad_norm`), then [`AdamW::step`]: the
+    /// sweep walks each parameter's span in
+    /// [`SUMSQ_BLOCK`](kernels::SUMSQ_BLOCK)-scalar blocks, so the norm
+    /// folds the same per-block partials in the same order, the probe's
+    /// chains see the gradient in arena order, and clipping and AdamW are
+    /// elementwise. Each block is read once while it is in cache. When
+    /// the update depends on the norm (`clip_norm` or `skip_nonfinite`),
+    /// the sweep is a norm and probe pass followed by a scale and update
+    /// pass.
+    pub fn step_observed(
+        &mut self,
+        params: &mut ParamSet,
+        probe: &mut InstabilityProbe,
+        loss: f32,
+        clip_norm: Option<f32>,
+        skip_nonfinite: bool,
+    ) -> (f32, bool) {
+        if clip_norm.is_none() && !skip_nonfinite {
+            return (self.sweep(params, Some((probe, loss)), None, true), true);
+        }
+        let norm = self.sweep(params, Some((probe, loss)), None, false);
+        let scale = clip_norm.filter(|&max| norm > max && norm > 0.0).map(|max| max / norm);
+        let apply = !skip_nonfinite || norm.is_finite();
+        if scale.is_some() || apply {
+            self.sweep(params, None, scale, apply);
+        }
+        (norm, apply)
+    }
+
+    /// One pass over the gradient arena in `SUMSQ_BLOCK`-scalar blocks.
+    /// With `probe`, each block feeds the probe and the norm, whose value
+    /// is returned (0 without); then it is scaled by `scale`; then, with
+    /// `update`, AdamW updates the matching values.
+    fn sweep(
+        &mut self,
+        params: &mut ParamSet,
+        mut probe: Option<(&mut InstabilityProbe, f32)>,
+        scale: Option<f32>,
+        update: bool,
+    ) -> f32 {
+        let bc = if update { self.advance() } else { (0.0, 0.0) };
+        let mut chains = probe.as_mut().map(|(p, _)| p.begin(params.num_scalars()));
+        let mut sumsq = -0.0f64;
+        for (i, (value, grad)) in params.pairs_mut().enumerate() {
+            let mut span = -0.0f64;
+            let p = if update { value.as_mut_slice() } else { &mut [] };
+            for (b, g) in grad.chunks_mut(kernels::SUMSQ_BLOCK).enumerate() {
+                if let (Some((probe, _)), Some(chains)) = (&probe, &mut chains) {
+                    span += kernels::sumsq_partial(g);
+                    probe.feed(chains, g);
+                }
+                if let Some(s) = scale {
+                    kernels::scale(g, s);
+                }
+                if update {
+                    self.update(i, p, g, b * kernels::SUMSQ_BLOCK, bc);
+                }
+            }
+            sumsq += span;
+        }
+        if let (Some((probe, loss)), Some(chains)) = (probe, chains) {
+            probe.finish(chains, loss);
+        }
+        sumsq.sqrt() as f32
+    }
+
+    /// Count one update and return its bias corrections.
+    fn advance(&mut self) -> (f32, f32) {
         self.t += 1;
-        let AdamWConfig {
+        let t = self.t as i32;
+        (1.0 - self.cfg.beta1.powi(t), 1.0 - self.cfg.beta2.powi(t))
+    }
+
+    /// The fused AdamW update of parameter `i`'s scalars `at..at +
+    /// g.len()`: `value` is the whole tensor, `g` the matching gradient
+    /// block.
+    fn update(&mut self, i: usize, value: &mut [f32], g: &[f32], at: usize, bc: (f32, f32)) {
+        let AdamWConfig { lr, beta1, beta2, eps, weight_decay } = self.cfg;
+        let r = at..at + g.len();
+        kernels::adamw_update(
+            &mut value[r.clone()],
+            &mut self.m[i].as_mut_slice()[r.clone()],
+            &mut self.v[i].as_mut_slice()[r],
+            g,
             lr,
             beta1,
             beta2,
             eps,
             weight_decay,
-        } = self.cfg;
-        let bc1 = 1.0 - beta1.powi(self.t as i32);
-        let bc2 = 1.0 - beta2.powi(self.t as i32);
-
-        for (i, (value, grad)) in params.pairs_mut().enumerate() {
-            // Fused slice kernel: moments, bias correction, and the
-            // decoupled-decay update in one pass over each tensor.
-            matsciml_tensor::kernels::adamw_update(
-                value.as_mut_slice(),
-                self.m[i].as_mut_slice(),
-                self.v[i].as_mut_slice(),
-                grad.as_slice(),
-                lr,
-                beta1,
-                beta2,
-                eps,
-                weight_decay,
-                bc1,
-                bc2,
-            );
-        }
+            bc.0,
+            bc.1,
+        );
     }
 }
 
@@ -263,6 +339,61 @@ mod tests {
         quadratic_step(&mut ps, &target);
         opt.step(&mut ps);
         assert!(ps.value(matsciml_nn::ParamId(0)).item() < 1.0);
+    }
+
+    #[test]
+    fn step_observed_matches_the_separate_calls_bitwise() {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cfg = AdamWConfig::default;
+        // Spans longer than one 4096-scalar block, an empty span, a NaN
+        // gradient at step 4, and every clip/skip mode.
+        for (clip, skip) in [(None, false), (Some(20.0), false), (None, true), (Some(20.0), true)] {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut a = ParamSet::new();
+            for (i, n) in [5000usize, 3, 9000, 0, 17].into_iter().enumerate() {
+                a.register(format!("p{i}"), Tensor::randn(&[n], 0.0, 1.0, &mut rng));
+            }
+            let mut b = a.clone();
+            let (mut oa, mut ob) = (AdamW::new(&a, cfg()), AdamW::new(&b, cfg()));
+            let (mut pa, mut pb) = (InstabilityProbe::new(4, 3.0), InstabilityProbe::new(4, 3.0));
+            for step in 0..8 {
+                for ps in [&mut a, &mut b] {
+                    let mut g = ps.take_grads();
+                    for (j, x) in g.iter_mut().enumerate() {
+                        *x = ((j * 7919 + step * 104_729) % 1000) as f32 / 1000.0 - 0.5;
+                    }
+                    if step == 4 {
+                        g[4100] = f32::NAN;
+                    }
+                    ps.restore_grads(g);
+                }
+                let loss = 1.0 + step as f32;
+                let (norm, applied) = oa.step_observed(&mut a, &mut pa, loss, clip, skip);
+                pb.observe(loss, &b);
+                let want = match clip {
+                    Some(max) => b.clip_grad_norm(max),
+                    None => b.grad_norm(),
+                };
+                let want_applied = !skip || want.is_finite();
+                if want_applied {
+                    ob.step(&mut b);
+                }
+                let tag = format!("clip {clip:?} skip {skip} step {step}");
+                assert_eq!((norm.to_bits(), applied), (want.to_bits(), want_applied), "{tag}");
+                assert_eq!(bits(a.grads()), bits(b.grads()), "{tag}: gradients");
+                for i in 0..a.len() {
+                    let id = matsciml_nn::ParamId(i);
+                    assert_eq!(bits(a.value(id).as_slice()), bits(b.value(id).as_slice()), "{tag}");
+                }
+                assert_eq!(bits(&pa.grad_norms), bits(&pb.grad_norms), "{tag}: probe norms");
+                assert_eq!(
+                    bits(&pa.grad_time_correlation),
+                    bits(&pb.grad_time_correlation),
+                    "{tag}: probe correlation"
+                );
+                assert_eq!(oa.steps(), ob.steps(), "{tag}");
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,6 @@ mod schedule;
 mod sgd;
 
 pub use adamw::{AdamW, AdamWConfig, AdamWState};
-pub use probe::{flat_norm, InstabilityProbe, SpikeEvent};
+pub use probe::{InstabilityProbe, SpikeEvent};
 pub use schedule::{ConstantLr, LrSchedule, WarmupExpDecay};
 pub use sgd::Sgd;

@@ -9,8 +9,7 @@
 //! reproductions can report *why* a configuration destabilized, not just
 //! that it did.
 
-use matsciml_nn::{ParamId, ParamSet};
-use matsciml_tensor::Tensor;
+use matsciml_nn::ParamSet;
 use serde::{Deserialize, Serialize};
 
 /// A detected loss spike.
@@ -22,6 +21,15 @@ pub struct SpikeEvent {
     pub loss: f32,
     /// The running median it was compared against.
     pub baseline: f32,
+}
+
+/// One step's running probe state: the gradient copied so far and the
+/// two `f64` chains over it.
+pub(crate) struct ProbeChains {
+    flat: Vec<f32>,
+    paired: bool,
+    sumsq: f64,
+    dot: f64,
 }
 
 /// Rolling recorder of gradient norms, gradient time-correlation, and loss
@@ -68,39 +76,51 @@ impl InstabilityProbe {
     }
 
     /// Record one optimizer step: the loss value and the gradients
-    /// currently accumulated in `params` (call before zeroing them).
+    /// currently held in `params`.
     ///
-    /// One pass over the flattened gradient runs the norm and the dot
-    /// product with the previous step as two sequential `f64` chains
-    /// seeded at `-0.0` (the order `Sum<f64>` uses), and the previous
-    /// norm is carried over rather than recomputed from the same data,
-    /// so the recorded series are bit-identical to three separate sums.
+    /// One pass over the gradient arena copies it into the probe's buffer
+    /// and runs the norm and the dot product with the previous step as two
+    /// sequential `f64` chains seeded at `-0.0` (the order `Sum<f64>`
+    /// uses); the previous norm is carried over rather than recomputed
+    /// from the same data, so the recorded series are bit-identical to
+    /// three separate sums. [`crate::AdamW::step_observed`] feeds the same
+    /// chains block by block from inside its sweep.
     pub fn observe(&mut self, loss: f32, params: &ParamSet) {
-        // Flatten the gradient into one direction vector for the
-        // time-correlation estimate, one tensor at a time so each is
-        // summed while it is still in cache.
-        let len: usize = (0..params.len()).map(|i| params.grad(ParamId(i)).numel()).sum();
-        let paired = self.prev_norm.is_some() && self.prev_grad.len() == len;
+        let mut chains = self.begin(params.grads().len());
+        self.feed(&mut chains, params.grads());
+        self.finish(chains, loss);
+    }
+
+    /// Start observing a gradient of `len` scalars.
+    pub(crate) fn begin(&mut self, len: usize) -> ProbeChains {
         let mut flat = std::mem::take(&mut self.spare);
         flat.clear();
-        let (mut sumsq, mut dot) = (-0.0f64, -0.0f64);
-        for i in 0..params.len() {
-            let g = params.grad(ParamId(i)).as_slice();
-            let at = flat.len();
-            flat.extend_from_slice(g);
-            if paired {
-                for (&x, &p) in g.iter().zip(&self.prev_grad[at..]) {
-                    let v = x as f64;
-                    sumsq += v * v;
-                    dot += (p as f64) * v;
-                }
-            } else {
-                for &x in g {
-                    let v = x as f64;
-                    sumsq += v * v;
-                }
+        let paired = self.prev_norm.is_some() && self.prev_grad.len() == len;
+        ProbeChains { flat, paired, sumsq: -0.0, dot: -0.0 }
+    }
+
+    /// Copy the gradient's next block into the step's buffer and extend
+    /// both chains over it.
+    pub(crate) fn feed(&self, c: &mut ProbeChains, g: &[f32]) {
+        let at = c.flat.len();
+        c.flat.extend_from_slice(g);
+        if c.paired {
+            for (&x, &p) in g.iter().zip(&self.prev_grad[at..]) {
+                let v = x as f64;
+                c.sumsq += v * v;
+                c.dot += (p as f64) * v;
+            }
+        } else {
+            for &x in g {
+                let v = x as f64;
+                c.sumsq += v * v;
             }
         }
+    }
+
+    /// Close the step: record its norm, correlation and any loss spike.
+    pub(crate) fn finish(&mut self, c: ProbeChains, loss: f32) {
+        let ProbeChains { flat, paired, sumsq, dot } = c;
         let norm = sumsq.sqrt();
         self.grad_norms.push(norm as f32);
 
@@ -165,16 +185,12 @@ impl InstabilityProbe {
     }
 }
 
-/// Gradient norm of a set of raw tensors (used by the throughput model's
-/// allreduce cost calibration in `matsciml-train`).
-pub fn flat_norm(tensors: &[Tensor]) -> f32 {
-    tensors.iter().map(Tensor::sumsq).sum::<f64>().sqrt() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use matsciml_autograd::Graph;
+    use matsciml_nn::ParamId;
+    use matsciml_tensor::Tensor;
 
     fn store_with_grad(grad: &[f32]) -> ParamSet {
         store_with_grads(&[grad])

@@ -41,9 +41,8 @@ impl Sgd {
         for (i, (value, grad)) in params.pairs_mut().enumerate() {
             let v = self.velocity[i].as_mut_slice();
             let p = value.as_mut_slice();
-            let g = grad.as_slice();
             for j in 0..p.len() {
-                v[j] = mu * v[j] + g[j];
+                v[j] = mu * v[j] + grad[j];
                 p[j] -= lr * v[j];
             }
         }

@@ -518,7 +518,7 @@ mod tests {
     fn mat(shape: &[usize], seed: usize) -> Tensor {
         Tensor::from_fn(shape, |i| {
             let v = ((i * 31 + seed * 17) % 23) as f32 - 11.0;
-            if (i + seed) % 9 == 0 {
+            if (i + seed).is_multiple_of(9) {
                 0.0
             } else {
                 v * 0.07

@@ -118,6 +118,18 @@ pub fn sumsq(src: &[f32]) -> f64 {
     }
 }
 
+/// Block length of [`sumsq`]'s partials.
+pub const SUMSQ_BLOCK: usize = CHUNK;
+
+/// One block's partial of [`sumsq`] (`src.len() <= SUMSQ_BLOCK`). Adding
+/// the partials of a slice's consecutive `SUMSQ_BLOCK`-scalar blocks to
+/// `-0.0` in order gives `sumsq` of the slice bit for bit, so a fused
+/// sweep can take the norm while it walks the slice for other work.
+pub fn sumsq_partial(src: &[f32]) -> f64 {
+    debug_assert!(src.len() <= CHUNK, "sumsq_partial: block longer than SUMSQ_BLOCK");
+    sumsq_block(src, simd::dispatch(src.len() / 4))
+}
+
 #[inline]
 fn sumsq_block(src: &[f32], isa: Option<simd::Isa>) -> f64 {
     match isa {
@@ -222,6 +234,10 @@ mod tests {
         let src: Vec<f32> = (0..n).map(|i| ((i % 7) as f32) - 3.0).collect();
         let expected: f64 = src.chunks(CHUNK).map(simd::sumsq4_scalar).sum();
         assert_eq!(sumsq(&src), expected);
+        // Folding the public per-block partials reproduces it bit for bit.
+        let awkward: Vec<f32> = (0..n).map(|i| (i as f32).sin() * 1e3).collect();
+        let blocks: f64 = awkward.chunks(SUMSQ_BLOCK).map(sumsq_partial).sum();
+        assert_eq!(sumsq(&awkward).to_bits(), blocks.to_bits());
     }
 
     #[test]

@@ -90,7 +90,7 @@ mod tests {
     fn thresholds_keep_their_relative_order() {
         // Gathers must break even no later than scatters: if this flips,
         // someone retuned one constant without re-auditing the family.
-        assert!(PAR_MIN_GATHER_ELEMS <= PAR_MIN_ELEMS);
+        const { assert!(PAR_MIN_GATHER_ELEMS <= PAR_MIN_ELEMS) };
     }
 
     #[test]

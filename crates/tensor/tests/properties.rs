@@ -96,7 +96,7 @@ proptest! {
     #[test]
     fn rotations_compose_orthogonally(
         ax in -1.0f32..1.0, ay in -1.0f32..1.0, az in -1.0f32..1.0,
-        t1 in 0.0f32..6.28, t2 in 0.0f32..6.28,
+        t1 in 0.0f32..std::f32::consts::TAU, t2 in 0.0f32..std::f32::consts::TAU,
     ) {
         prop_assume!(ax.abs() + ay.abs() + az.abs() > 0.1);
         let axis = Vec3::new(ax, ay, az);

@@ -6,33 +6,38 @@
 //! 2. every rank runs forward/backward on its own tape against the shared
 //!    (read-only) parameters, exactly as `DistributedDataParallel` replicas
 //!    do;
-//! 3. rank gradients are reduced into the parameter store and averaged —
-//!    the allreduce;
+//! 3. rank gradients are reduced and averaged into the parameter store's
+//!    gradient arena, overwriting it — the allreduce;
 //! 4. the caller applies one optimizer step on the averaged gradient.
 //!
 //! # Bucketed allreduce
 //!
-//! The reduction works on **flat gradient buckets**
-//! ([`matsciml_nn::bucket`]). The model's parameters, in reverse
-//! registration order, are packed into size-capped parts
-//! ([`PartitionedLayout::by_reverse_touch`], [`BUCKET_CAP_BYTES`]), so
-//! the parts whose gradients finalize first in backward come first. The
-//! plan is a function of the model alone, so every rank and slot shares
-//! it — also when the ranks' batches touch different task heads.
+//! The reduction works on **flat gradient buffers** laid out like the
+//! parameter store's gradient arena ([`matsciml_nn::bucket`]): every
+//! parameter is a span in registration order. The buffer is split into
+//! size-capped contiguous parts
+//! ([`PartitionedLayout::reverse_registration`], [`BUCKET_CAP_BYTES`])
+//! from its end backwards, so the parts whose gradients finalize first in
+//! backward come first. The plan is a function of the model alone, so
+//! every rank and slot shares it — also when the ranks' batches touch
+//! different task heads.
 //!
 //! Ranks are partitioned into `reduce_slots(N) = min(N,
 //! `[`MAX_REDUCE_SLOTS`](matsciml_nn::bucket::MAX_REDUCE_SLOTS)`)`
 //! contiguous groups. Each group streams its ranks **in rank order**
 //! through one reusable tape. Backward runs with a
 //! [grad-finalization hook](matsciml_autograd::Graph::backward_with_hook)
-//! that folds each gradient into the slot's part bucket (`copy_span` for
-//! the slot's first rank, `add_span` after); a per-part countdown of the
-//! tape's leaf occurrences tells the slot's last rank when a part is
-//! complete, and the part is sent to the reducer. The reducer combines
-//! each part across slots by a fixed pairwise tree
-//! ([`tree_reduce_into_first`]) as soon as every slot has delivered it,
-//! scales by `1/N`, and the caller scatters the parts into the parameter
-//! store ([`absorb_flat_part`](matsciml_nn::ParamSet::absorb_flat_part)).
+//! that folds each gradient into the slot's fold buffer: the slot's first
+//! rank overwrites each span (zero where its tape has no gradient), later
+//! ranks add. Slot 0's fold buffer is the parameter store's arena itself;
+//! the other slots keep theirs in [`DdpTapes`] across steps. A per-part
+//! countdown of the tape's leaf occurrences tells the slot's last rank
+//! when a part is complete, and the part's `&mut` range is sent to the
+//! reducer. The reducer combines each part across slots in place by a
+//! fixed pairwise tree ([`tree_reduce_into_first`]) as soon as every slot
+//! has delivered it, into slot 0's range of the arena, and averages it
+//! there ([`finish_average`]). Nothing is scattered afterwards: the arena
+//! holds the averaged gradient when the step returns.
 //!
 //! [`DdpConfig::overlap`] decides only where the reducer runs: on a
 //! scoped comm thread while backward is still running on the rank
@@ -52,30 +57,32 @@
 //!
 //! # Memory bound
 //!
-//! Resident gradient memory during a step is `reduce_slots(N) ×
-//! param-bytes` — O(threads × param-bytes), independent of `N`. A
-//! world-512 step holds at most
-//! [`MAX_REDUCE_SLOTS`](matsciml_nn::bucket::MAX_REDUCE_SLOTS) copies of
-//! each part, not 512 rank gradient sets (asserted by the `ddp_memory`
-//! integration test via the bucket byte accounting).
+//! Resident gradient memory is `reduce_slots(N) × param-bytes`: the
+//! arena plus one fold buffer per other slot — O(threads × param-bytes),
+//! independent of `N`. A world-512 step holds at most
+//! [`MAX_REDUCE_SLOTS`](matsciml_nn::bucket::MAX_REDUCE_SLOTS) gradient
+//! buffers, not 512 rank gradient sets (asserted by the `ddp_memory`
+//! integration test via the bucket byte accounting, which counts the
+//! persistent fold buffers).
 //!
 //! # What the run record shows
 //!
 //! When `obs` is enabled, every step observes [`DDP_EXPOSED_COMM_MS`]
 //! (reduce time on the critical path: the wait for the reducer after the
-//! folds plus the final scatter), [`DDP_OVERLAPPED_COMM_MS`] (reduce time
-//! hidden under backward) and [`DDP_OVERLAP_FRAC`] (hidden / total; 0
-//! with overlap off).
+//! folds), [`DDP_OVERLAPPED_COMM_MS`] (reduce time hidden under backward)
+//! and [`DDP_OVERLAP_FRAC`] (hidden / total; 0 with overlap off).
 
 use std::borrow::Cow;
 use std::sync::mpsc::{Receiver, Sender};
 
 use matsciml_autograd::Graph;
 use matsciml_datasets::Sample;
-use matsciml_nn::bucket::{rank_range, reduce_slots, tree_reduce_into_first, GradBucket};
+use matsciml_nn::bucket::{
+    finish_average, rank_range, reduce_slots, tree_reduce_into_first, GradBucket,
+};
 use matsciml_nn::{ForwardCtx, PartitionedLayout};
 use matsciml_obs::{Obs, Phase, PhaseAcc, Span};
-use matsciml_tensor::{edge_stats, pool_stats, simd_stats};
+use matsciml_tensor::{edge_stats, kernels, pool_stats, simd_stats};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -96,7 +103,8 @@ pub const POOL_MISSES: &str = "pool/misses";
 pub const POOL_BYTES_RECYCLED: &str = "pool/bytes_recycled";
 /// Counter name for bytes served by fresh allocations.
 pub const POOL_BYTES_FRESH: &str = "pool/bytes_fresh";
-/// Counter name for tape nodes recorded across all rank tapes.
+/// Counter name for tape nodes recorded per step: each slot's last tape,
+/// summed over slots.
 pub const TAPE_NODES: &str = "tape/nodes";
 /// Counter name for fused edge-kernel invocations during rank execution.
 pub const EDGE_FUSED_CALLS: &str = "edge/fused_calls";
@@ -113,8 +121,7 @@ pub const SIMD_FALLBACK_HITS: &str = "simd/fallback_hits";
 /// training never uses the wide tier).
 pub const SIMD_HALF_OPS: &str = "simd/half_ops";
 /// Histogram name for reduce time exposed on the critical path per step
-/// (milliseconds): the wait for the reducer after the folds plus the
-/// final scatter.
+/// (milliseconds): the wait for the reducer after the folds.
 pub const DDP_EXPOSED_COMM_MS: &str = "ddp/exposed_comm_ms";
 /// Histogram name for reduce time hidden under backward per step
 /// (milliseconds).
@@ -219,13 +226,16 @@ impl StepInput<'_> {
     }
 }
 
-/// Reusable per-slot tapes threaded through [`ddp_step`]. A caller that
+/// Reusable per-slot state threaded through [`ddp_step`]. A caller that
 /// holds one across its step loop (as [`crate::Trainer`] does) never
-/// constructs a tape per step: each slot's graph is reset, re-recorded
-/// from pooled buffers, and kept.
+/// constructs a tape or a fold buffer per step: each slot's graph is
+/// re-recorded from pooled buffers and released at the end of the slot's
+/// fold, and each slot past the first keeps its fold buffer.
 #[derive(Default)]
 pub struct DdpTapes {
-    graphs: Vec<Graph>,
+    slots: Vec<Slot>,
+    /// The part plan of the model the slots last folded.
+    plan: Option<PartitionedLayout>,
 }
 
 impl DdpTapes {
@@ -234,34 +244,56 @@ impl DdpTapes {
         Self::default()
     }
 
-    /// Total nodes currently recorded across all slot tapes.
+    /// Nodes the last step recorded across all slot tapes (each slot's
+    /// last rank; the tapes themselves are already released).
     pub fn tape_nodes(&self) -> usize {
-        self.graphs.iter().map(Graph::len).sum()
+        self.slots.iter().map(|s| s.tape.nodes).sum()
     }
 }
 
-/// One complete part bucket in flight from a rank slot to the reducer.
-struct PartMsg {
-    part: usize,
-    slot: usize,
-    bucket: GradBucket,
+/// One reduce slot's state, kept across steps.
+#[derive(Default)]
+struct Slot {
+    tape: SlotTape,
+    /// The slot's fold buffer. Slot 0 folds into the parameter store's
+    /// gradient arena instead and never allocates one.
+    fold: Option<GradBucket>,
 }
 
-/// Drain complete part buckets; tree-reduce a part across slots as soon
-/// as all `slots` copies of it have arrived. Returns the reduced (and
-/// `1/world`-scaled) bucket per part plus the nanoseconds spent reducing
+/// A slot's tape and the per-rank scratch its fold reuses.
+#[derive(Default)]
+struct SlotTape {
+    graph: Graph,
+    /// Node count of the last tape the slot recorded.
+    nodes: usize,
+    /// Per-part countdown of the leaf occurrences still to fire.
+    remaining: Vec<usize>,
+    /// Per parameter: present on the slot's first tape and not yet
+    /// written into the fold buffer.
+    unwritten: Vec<bool>,
+}
+
+/// One complete part of a slot's fold buffer in flight to the reducer.
+struct PartMsg<'a> {
+    part: usize,
+    slot: usize,
+    data: &'a mut [f32],
+}
+
+/// Drain complete parts; as soon as all `slots` copies of a part have
+/// arrived, tree-reduce them into slot 0's copy (the parameter store's
+/// arena) and average it there. Returns the nanoseconds spent reducing
 /// (0 unless `timed`).
 fn reduce_parts(
-    rx: Receiver<PartMsg>,
+    rx: Receiver<PartMsg<'_>>,
     parts: usize,
     slots: usize,
     world: usize,
     timed: bool,
-) -> (Vec<Option<GradBucket>>, u64) {
-    let mut staged: Vec<Vec<Option<GradBucket>>> =
+) -> u64 {
+    let mut staged: Vec<Vec<Option<&mut [f32]>>> =
         (0..parts).map(|_| (0..slots).map(|_| None).collect()).collect();
     let mut arrived = vec![0usize; parts];
-    let mut reduced: Vec<Option<GradBucket>> = (0..parts).map(|_| None).collect();
     let mut busy_ns = 0u64;
     for msg in rx {
         debug_assert!(
@@ -270,45 +302,48 @@ fn reduce_parts(
             msg.slot,
             msg.part
         );
-        staged[msg.part][msg.slot] = Some(msg.bucket);
+        staged[msg.part][msg.slot] = Some(msg.data);
         arrived[msg.part] += 1;
         if arrived[msg.part] == slots {
             let t0 = timed.then(std::time::Instant::now);
             // Slot order is fixed by world size, and the tree bracketing by
             // the slot count.
-            let mut group: Vec<GradBucket> = staged[msg.part]
+            let mut group: Vec<&mut [f32]> = staged[msg.part]
                 .iter_mut()
                 .map(|o| o.take().expect("all slots arrived"))
                 .collect();
             tree_reduce_into_first(&mut group);
-            let mut total = group.swap_remove(0);
-            drop(group);
-            total.scale(1.0 / world as f32);
-            reduced[msg.part] = Some(total);
+            finish_average(group.swap_remove(0), world);
             busy_ns += Obs::lap_ns(t0);
         }
     }
-    (reduced, busy_ns)
+    assert!(arrived.iter().all(|&a| a == slots), "a part was never delivered");
+    busy_ns
 }
 
-/// Per-slot dispatch cell: the slot's reusable tape plus the step-local
+/// Per-slot dispatch cell: the slot's tape and scratch plus the step-local
 /// I/O the parallel closure reads and writes in place (the rayon stub's
 /// `for_each` takes a `Fn`; the channel sender is `Send` but not `Sync`,
 /// so each slot owns its own clone up front).
 struct SlotWork<'a> {
-    graph: &'a mut Graph,
-    tx: Option<Sender<PartMsg>>,
+    tape: &'a mut SlotTape,
+    /// The slot's fold buffer split into its parts, until each is sent.
+    parts: Vec<Option<&'a mut [f32]>>,
+    tx: Option<Sender<PartMsg<'a>>>,
     metrics: Vec<MetricMap>,
 }
 
 /// Stream one slot's virtual ranks through its tape, folding gradients
-/// into per-part buckets from inside the backward hook and sending each
-/// part to the reducer the moment the slot's last rank completes it.
+/// into the slot's fold buffer from inside the backward hook and sending
+/// each part to the reducer the moment the slot's last rank completes it.
+/// The slot's first rank overwrites every span (with zero where its tape
+/// has no gradient), so nothing of an earlier step survives; later ranks
+/// add. The tape is released at the end, on the thread that recorded it.
 #[allow(clippy::too_many_arguments)]
-fn fold_slot(
+fn fold_slot<'a>(
     slot: usize,
     slots: usize,
-    w: &mut SlotWork<'_>,
+    w: &mut SlotWork<'a>,
     model: &TaskModel,
     input: StepInput<'_>,
     plan: &PartitionedLayout,
@@ -317,15 +352,12 @@ fn fold_slot(
     acc: Option<&PhaseAcc>,
 ) {
     let tx = w.tx.take().expect("sender installed before dispatch");
-    let graph = &mut *w.graph;
+    let SlotTape { graph, nodes, remaining, unwritten } = &mut *w.tape;
+    let parts = &mut w.parts;
     let range = rank_range(cfg.world_size, slots, slot);
     let (first_rank, last_rank) = (range.start, range.end - 1);
-    let mut buckets: Vec<Option<GradBucket>> = plan
-        .parts()
-        .map(|part| Some(GradBucket::zeros(part.layout().clone())))
-        .collect();
-    let send = |part: usize, bucket: GradBucket| {
-        tx.send(PartMsg { part, slot, bucket }).expect("reducer alive");
+    let send = |part: usize, data: &'a mut [f32]| {
+        tx.send(PartMsg { part, slot, data }).expect("reducer alive");
     };
 
     for rank in range {
@@ -342,29 +374,42 @@ fn fold_slot(
         // Countdown of leaf occurrences per part for THIS tape — exactly
         // the population the backward hook fires over, so a part's count
         // reaches zero precisely when its last gradient is final.
-        let mut remaining = vec![0usize; plan.num_parts()];
-        for id in graph.param_leaves_upto(loss) {
-            remaining[plan.locate(id).0] += 1;
-        }
-
         let first = rank == first_rank;
         let last = rank == last_rank;
+        remaining.clear();
+        remaining.resize(plan.num_parts(), 0);
+        unwritten.clear();
+        unwritten.resize(if first { plan.layout().num_spans() } else { 0 }, false);
+        for id in graph.param_leaves_upto(loss) {
+            remaining[plan.locate(id).0] += 1;
+            if first {
+                unwritten[id] = true;
+            }
+        }
+        // The first rank's zero for spans absent from its tape (the heads
+        // of datasets outside its batch, say).
+        for (id, _) in unwritten.iter().enumerate().filter(|(_, present)| !**present) {
+            let (p, r) = plan.locate(id);
+            parts[p].as_deref_mut().expect("no part sent yet")[r].fill(0.0);
+        }
+
         // The in-hook fold rides inside the Backward span: it happens on
         // the rank thread between VJP evaluations.
         let bwd = acc.map(|a| Span::new(a, Phase::Backward));
         graph.backward_with_hook(loss, |id, grad| {
-            let (p, s) = plan.locate(id);
-            if let Some(g) = grad {
-                let b = buckets[p].as_mut().expect("part not yet sent");
-                if first {
-                    b.copy_span(s, g.as_slice());
-                } else {
-                    b.add_span(s, g.as_slice(), 1.0);
+            let (p, r) = plan.locate(id);
+            let dst = &mut parts[p].as_deref_mut().expect("part not yet sent")[r];
+            if first && std::mem::take(&mut unwritten[id]) {
+                match grad {
+                    Some(g) => dst.copy_from_slice(g.as_slice()),
+                    None => dst.fill(0.0),
                 }
+            } else if let Some(g) = grad {
+                kernels::vadd(dst, g.as_slice());
             }
             remaining[p] -= 1;
             if remaining[p] == 0 && last {
-                send(p, buckets[p].take().expect("part complete"));
+                send(p, parts[p].take().expect("part complete"));
             }
         });
         drop(bwd);
@@ -372,24 +417,36 @@ fn fold_slot(
     }
     // Parts no leaf of the last rank's tape touches (untouched heads, say)
     // never see a countdown transition: send them as they stand.
-    for (p, b) in buckets.iter_mut().enumerate() {
-        if let Some(bucket) = b.take() {
-            send(p, bucket);
+    for (p, part) in parts.iter_mut().enumerate() {
+        if let Some(data) = part.take() {
+            send(p, data);
         }
     }
+    // Release the tape here rather than at the next step's reset: its
+    // buffers return to this thread's pool free-list, where the next
+    // recording on this thread takes them, and the parameter values lose
+    // their last extra handle, so the optimizer updates them in place.
+    *nodes = graph.len();
+    graph.reset();
     // `tx` drops here; the reducer's receive loop ends once every slot's
     // sender is gone.
 }
 
-/// Execute one DDP training step: shard, per-rank forward/backward,
-/// bucketed gradient allreduce into `model.params` (the caller zeroes
-/// grads before and steps the optimizer after). Returns rank-averaged
+/// Execute one DDP training step: shard, per-rank forward/backward, and
+/// a bucketed gradient allreduce that **overwrites** `model.params`'
+/// gradient arena with the rank average (the caller steps the optimizer
+/// after; there is nothing to zero before). Returns rank-averaged
 /// metrics.
 ///
-/// `tapes` holds the per-slot tapes; a caller that keeps it across steps
-/// records every step onto the same graphs. With `cfg.overlap` the part
-/// reducer runs on a comm thread under backward, otherwise inline after
-/// the folds — bit-identical either way.
+/// Every gradient is written, including an exact `0.0` for parameters no
+/// rank's tape touched, so the arena never carries anything over from an
+/// earlier step.
+///
+/// `tapes` holds the per-slot tapes and fold buffers; a caller that keeps
+/// it across steps records every step onto the same graphs and folds
+/// into the same buffers. With `cfg.overlap` the part reducer runs on a
+/// comm thread under backward, otherwise inline after the folds —
+/// bit-identical either way.
 ///
 /// When `obs` is enabled the step records its forward/backward/allreduce
 /// wall time (rank-thread times apportioned onto the fold section's wall
@@ -409,15 +466,16 @@ pub fn ddp_step(
     tapes: &mut DdpTapes,
 ) -> MetricMap {
     input.assert_shape(cfg);
-    let layout = model.params.bucket_layout();
-    let numels: Vec<usize> = (0..layout.num_spans()).map(|i| layout.span(i).1).collect();
-    let registration: Vec<usize> = (0..numels.len()).collect();
-    let plan = PartitionedLayout::by_reverse_touch(&numels, &registration, BUCKET_CAP_BYTES);
     let slots = reduce_slots(cfg.world_size);
-    // Reborrow immutably so the per-slot closure is `Fn` and shareable
-    // across the pool; `model.params` is only mutated after all slots
-    // finish.
-    let shared = &*model;
+    let layout = model.params.bucket_layout();
+    if tapes.plan.as_ref().is_none_or(|plan| plan.layout() != layout) {
+        // A new model: the old slots' fold buffers have the wrong layout.
+        tapes.plan = Some(PartitionedLayout::reverse_registration(layout, BUCKET_CAP_BYTES));
+        tapes.slots.clear();
+    }
+    if tapes.slots.len() < slots {
+        tapes.slots.resize_with(slots, Slot::default);
+    }
 
     // A LOCAL accumulator for the fold section: rank threads write their
     // thread-time here, never into the recorder's own bank, so raw loops
@@ -427,15 +485,28 @@ pub fn ddp_step(
     let pool_before = obs.enabled().then(pool_stats);
     let edge_before = obs.enabled().then(edge_stats);
     let simd_before = obs.enabled().then(simd_stats);
-    if tapes.graphs.len() < slots {
-        tapes.graphs.resize_with(slots, Graph::new);
-    }
 
+    // Slot 0 folds straight into the arena, moved out of the store while
+    // the ranks read the parameter values through a shared borrow.
+    let mut arena = model.params.take_grads();
+    let shared = &*model;
+    let scalars = shared.params.num_scalars();
+    let plan = tapes.plan.as_ref().expect("plan built above");
     let (tx, rx) = std::sync::mpsc::channel::<PartMsg>();
-    let mut work: Vec<SlotWork> = tapes.graphs[..slots]
-        .iter_mut()
-        .map(|graph| SlotWork { graph, tx: Some(tx.clone()), metrics: Vec::new() })
-        .collect();
+    let mut arena_buf = Some(arena.as_mut_slice());
+    let mut work = Vec::with_capacity(slots);
+    for slot in &mut tapes.slots[..slots] {
+        let buf = match arena_buf.take() {
+            Some(arena) => arena,
+            None => slot.fold.get_or_insert_with(|| GradBucket::zeros(scalars)).as_mut_slice(),
+        };
+        work.push(SlotWork {
+            tape: &mut slot.tape,
+            parts: plan.split_mut(buf),
+            tx: Some(tx.clone()),
+            metrics: Vec::new(),
+        });
+    }
     drop(tx);
     let reduce = || reduce_parts(rx, plan.num_parts(), slots, cfg.world_size, obs.enabled());
 
@@ -444,7 +515,7 @@ pub fn ddp_step(
     let fold_all = |work: &mut [SlotWork]| {
         let t_fold = obs.timer();
         let run_slot = |slot: usize, w: &mut SlotWork| {
-            fold_slot(slot, slots, w, shared, input, &plan, cfg, step, local.as_ref());
+            fold_slot(slot, slots, w, shared, input, plan, cfg, step, local.as_ref());
         };
         if cfg.parallel {
             work.par_chunks_mut(1)
@@ -472,37 +543,30 @@ pub fn ddp_step(
 
     // Whatever reduce work is left once every fold has returned is the
     // exposed part of the reduction.
-    let (reduced, busy_ns, wait_ns) = if cfg.overlap {
+    let (busy_ns, exposed_ns) = if cfg.overlap {
         std::thread::scope(|scope| {
             let worker = scope.spawn(reduce);
             fold_all(&mut work);
             let t_wait = obs.timer();
-            let (reduced, busy_ns) = worker.join().expect("comm worker panicked");
-            (reduced, busy_ns, Obs::lap_ns(t_wait))
+            let busy_ns = worker.join().expect("comm worker panicked");
+            (busy_ns, Obs::lap_ns(t_wait))
         })
     } else {
         fold_all(&mut work);
         let t_wait = obs.timer();
-        let (reduced, busy_ns) = reduce();
-        (reduced, busy_ns, Obs::lap_ns(t_wait))
+        let busy_ns = reduce();
+        (busy_ns, Obs::lap_ns(t_wait))
     };
+    obs.add_phase_ns(Phase::Allreduce, exposed_ns);
 
-    // Scatter the reduced parts into the gradient accumulators.
-    let t_scatter = obs.timer();
     let mut rank_metrics = Vec::with_capacity(cfg.world_size);
     for w in work {
         rank_metrics.extend(w.metrics);
     }
-    for (part, bucket) in plan.parts().zip(&reduced) {
-        let bucket = bucket.as_ref().expect("every part reduced");
-        model.params.absorb_flat_part(part.param_ids(), bucket, 1.0);
-    }
-    drop(reduced);
-    let exposed_ns = wait_ns + Obs::lap_ns(t_scatter);
-    obs.add_phase_ns(Phase::Allreduce, exposed_ns);
+    model.params.restore_grads(arena);
 
     if obs.enabled() {
-        let grad_bytes = layout.bytes() as u64;
+        let grad_bytes = model.params.bucket_layout().bytes() as u64;
         // Ring allreduce moves 2·(N−1)/N of the payload per rank pair.
         let n = cfg.world_size as u64;
         let wire = if n > 1 { 2 * (n - 1) * grad_bytes / n } else { 0 };
@@ -537,7 +601,7 @@ pub fn ddp_step(
             obs.count(DATA_COLLATE_INLINE, cfg.world_size as u64);
         }
 
-        let overlapped_ns = busy_ns.saturating_sub(wait_ns);
+        let overlapped_ns = busy_ns.saturating_sub(exposed_ns);
         obs.observe(DDP_EXPOSED_COMM_MS, exposed_ns as f64 / 1e6);
         obs.observe(DDP_OVERLAPPED_COMM_MS, overlapped_ns as f64 / 1e6);
         let frac = if busy_ns > 0 { overlapped_ns as f64 / busy_ns as f64 } else { 0.0 };
@@ -551,7 +615,9 @@ pub fn ddp_step(
 mod tests {
     use super::*;
     use crate::task::{TargetKind, TaskHeadConfig};
-    use matsciml_datasets::{Dataset, DatasetId, GraphTransform, SyntheticMaterialsProject, Transform};
+    use matsciml_datasets::{
+        Dataset, DatasetId, GraphTransform, SyntheticCarolina, SyntheticMaterialsProject, Transform,
+    };
     use matsciml_models::EgnnConfig;
     use matsciml_nn::ParamId;
 
@@ -576,20 +642,15 @@ mod tests {
         DdpConfig { world_size, per_rank_batch, parallel, seed: 9, overlap }
     }
 
-    /// One fresh-tape step; returns the loss and every gradient.
-    fn step_grads(
-        m: &mut TaskModel,
-        s: &[Sample],
-        cfg: &DdpConfig,
-        step: u64,
-    ) -> (f32, Vec<Vec<f32>>) {
-        m.params.zero_grads();
+    /// One fresh-tape step; returns the loss and the gradient arena's bits.
+    fn step_grads(m: &mut TaskModel, s: &[Sample], cfg: &DdpConfig, step: u64) -> (f32, Vec<u32>) {
         let input = StepInput::Samples(s);
         let metrics = ddp_step(m, input, cfg, step, &Obs::disabled(), &mut DdpTapes::new());
-        let grads = (0..m.params.len())
-            .map(|i| m.params.grad(ParamId(i)).as_slice().to_vec())
-            .collect();
-        (metrics.get("loss").unwrap(), grads)
+        (metrics.get("loss").unwrap(), bits(m.params.grads()))
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -607,9 +668,11 @@ mod tests {
         // With a single head and every sample labeled, N ranks of batch B
         // average to the same gradient as 1 rank of batch N·B.
         let s = samples(8);
-        let (_, ddp) = step_grads(&mut model(), &s, &cfg(4, 2, false, false), 0);
-        let (_, single) = step_grads(&mut model(), &s, &cfg(1, 8, false, false), 0);
-        for (a, b) in ddp.iter().zip(&single) {
+        let (mut ddp, mut single) = (model(), model());
+        step_grads(&mut ddp, &s, &cfg(4, 2, false, false), 0);
+        step_grads(&mut single, &s, &cfg(1, 8, false, false), 0);
+        for i in 0..ddp.params.len() {
+            let (a, b) = (ddp.params.grad(ParamId(i)), single.params.grad(ParamId(i)));
             let diff: f32 = a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max);
             // Tolerance is relative to gradient scale: summation order
             // differs between the two reductions (f32 rounding only).
@@ -634,34 +697,72 @@ mod tests {
                 let (l, g) = step_grads(&mut model(), &s, &cfg(world, 2, parallel, overlap), 5);
                 let tag = format!("world {world} parallel {parallel} overlap {overlap}");
                 assert_eq!(loss.to_bits(), l.to_bits(), "{tag}");
-                for (i, (a, b)) in grads.iter().zip(&g).enumerate() {
-                    assert_eq!(a, b, "{tag}: param {i} gradients must be bit-identical");
-                }
+                assert!(grads == g, "{tag}: gradients must be bit-identical");
             }
         }
     }
 
     #[test]
     fn warm_tapes_match_cold_tapes() {
-        let s = samples(4);
+        // Two heads, and rank batches that move between them: on steps 2
+        // and 3 no rank touches one of the heads, whose gradient must then
+        // read exactly zero although the persistent buffers held a
+        // nonzero one the step before.
+        let mp = SyntheticMaterialsProject::new(4, 3);
+        let cmd = SyntheticCarolina::new(4, 5);
+        let t = GraphTransform::radius(4.0, Some(12));
+        let mp: Vec<Sample> = (0..4).map(|i| t.apply(mp.sample(i))).collect();
+        let cmd: Vec<Sample> = (0..4).map(|i| t.apply(cmd.sample(i))).collect();
+        let steps: [Vec<Sample>; 4] = [
+            [&mp[..2], &cmd[..2]].concat(),
+            [&cmd[2..], &mp[2..]].concat(),
+            mp.clone(),
+            cmd.clone(),
+        ];
+        let two_heads = || {
+            let head = |dataset, target| TaskHeadConfig {
+                dropout: 0.0,
+                ..TaskHeadConfig::regression(dataset, target, 16, 1)
+            };
+            TaskModel::egnn(
+                EgnnConfig::small(8),
+                &[
+                    head(DatasetId::MaterialsProject, TargetKind::BandGap),
+                    head(DatasetId::Carolina, TargetKind::FormationEnergy),
+                ],
+                1,
+            )
+        };
+        let head_ids = |m: &TaskModel, dataset: &str| -> Vec<ParamId> {
+            let prefix = format!("head.{dataset}.");
+            (0..m.params.len())
+                .map(ParamId)
+                .filter(|&id| m.params.name(id).starts_with(&prefix))
+                .collect()
+        };
+
         let cfg = cfg(2, 2, false, true);
-        let mut warm = model();
+        let mut warm = two_heads();
         let mut tapes = DdpTapes::new();
-        for step in 0..3 {
-            warm.params.zero_grads();
-            ddp_step(&mut warm, StepInput::Samples(&s), &cfg, step, &Obs::disabled(), &mut tapes);
-        }
-        assert!(tapes.tape_nodes() > 0, "slot tapes must persist across steps");
-        let mut cold = model();
-        for step in 0..3 {
-            step_grads(&mut cold, &s, &cfg, step);
-        }
-        for i in 0..warm.params.len() {
-            assert_eq!(
-                warm.params.grad(ParamId(i)).as_slice(),
-                cold.params.grad(ParamId(i)).as_slice(),
-                "param {i}"
-            );
+        let carolina = head_ids(&warm, "carolina");
+        let mp_head = head_ids(&warm, "materials-project");
+        assert!(!carolina.is_empty() && !mp_head.is_empty());
+        for (step, s) in steps.iter().enumerate() {
+            let input = StepInput::Samples(s);
+            ddp_step(&mut warm, input, &cfg, step as u64, &Obs::disabled(), &mut tapes);
+            assert!(tapes.tape_nodes() > 0, "slot tapes must record every step");
+            let (_, cold) = step_grads(&mut two_heads(), s, &cfg, step as u64);
+            assert!(bits(warm.params.grads()) == cold, "step {step}: warm tapes diverged");
+            let untouched = match step {
+                2 => &carolina,
+                3 => &mp_head,
+                _ => continue,
+            };
+            for &id in untouched {
+                assert!(warm.params.grad(id).iter().all(|g| g.to_bits() == 0), "step {step}");
+            }
+            let touched = if step == 2 { &mp_head } else { &carolina };
+            assert!(touched.iter().any(|&id| warm.params.grad(id).iter().any(|&g| g != 0.0)));
         }
     }
 

@@ -197,7 +197,6 @@ pub fn measure_real_threads_observed(
     let t0 = Instant::now();
     for step in 0..steps {
         let t_step = obs.timer();
-        model.params.zero_grads();
         ddp_step(model, StepInput::Samples(&samples[..need]), &cfg, step, obs, &mut tapes);
         obs.observe("throughput/step_us", (matsciml_obs::Obs::lap_ns(t_step) / 1_000) as f64);
     }

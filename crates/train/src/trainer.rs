@@ -595,25 +595,19 @@ impl Trainer {
                     )),
                     None => StepData::Samples(train_loader.load_observed(batch_idx, obs)),
                 };
-                {
-                    let _prep = obs.span(Phase::Optimizer);
-                    model.params.zero_grads();
-                }
                 let train_metrics = ddp_step(model, data.input(), &ddp, step, obs, &mut tapes);
                 let opt_span = obs.span(Phase::Optimizer);
                 let loss = train_metrics.get("loss").unwrap_or(f32::NAN);
-                probe.observe(loss, &model.params);
-                let grad_norm = match cfg.clip_norm {
-                    Some(max) => model.params.clip_grad_norm(max),
-                    None => model.params.grad_norm(),
-                };
                 let lr = schedule.lr(step);
                 opt.set_lr(lr);
-                if cfg.skip_nonfinite_updates && !grad_norm.is_finite() {
-                    skipped_updates += 1;
-                } else {
-                    opt.step(&mut model.params);
-                }
+                let (grad_norm, applied) = opt.step_observed(
+                    &mut model.params,
+                    &mut probe,
+                    loss,
+                    cfg.clip_norm,
+                    cfg.skip_nonfinite_updates,
+                );
+                skipped_updates += u64::from(!applied);
                 drop(opt_span);
 
                 // The step event closes before any evaluation runs, so the
@@ -824,6 +818,9 @@ impl Trainer {
             };
             all.push(metrics);
         }
+        // Release the tape here so it holds no parameter handles into the
+        // next optimizer update.
+        g.reset();
         MetricMap::mean_of(&all)
     }
 }
@@ -908,7 +905,7 @@ mod tests {
         let trainer = Trainer::new(cfg);
         let log = trainer.train(&mut model, &train_dl, None);
         // Warmup: lr strictly increases over the first epoch.
-        let spe = train_dl.batches_per_epoch() as usize;
+        let spe = train_dl.batches_per_epoch();
         for w in log.records[..spe.min(log.records.len())].windows(2) {
             assert!(w[1].lr >= w[0].lr);
         }

@@ -10,7 +10,7 @@
 //! | `ddp_2rank_20step.txt` | world 2 × 4, 20 steps |
 //! | `resume_10_20.txt` | the same world, checkpointed at step 10 and resumed to 20 |
 //! | `pipeline_3epoch.txt` | world 2 × 4 over 40 LiPS structures: 12 steps, 3 epochs |
-//! | `ddp_20rank_clip.txt` | world 20 × 1 with a clipped norm: 16 reduce slots, so slots 0–3 fold two ranks each |
+//! | `ddp_20rank_clip.txt` | world 20 × 1, clipped norm: 16 slots, slots 0–3 fold two ranks |
 //!
 //! The files pin behaviour across refactors of the step body: each was
 //! written by the code that preceded the refactor it guards, so any
@@ -22,7 +22,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use matsciml_datasets::{
-    Compose, DataLoader, DatasetId, ShuffleMode, Split, SyntheticLips, SyntheticMaterialsProject,
+    Compose, DataLoader, Dataset, DatasetId, ShuffleMode, Split, SyntheticLips,
+    SyntheticMaterialsProject,
 };
 use matsciml_models::EgnnConfig;
 use matsciml_nn::ParamId;
@@ -59,85 +60,51 @@ struct Schedule {
     readahead_threads: usize,
 }
 
-const DEFAULT_SCHEDULE: Schedule = Schedule { overlap: false, parallel: true, readahead_threads: 0 };
-
-fn mp_model(seed: u64) -> TaskModel {
-    TaskModel::egnn(
-        EgnnConfig::small(8),
-        &[TaskHeadConfig::regression(DatasetId::MaterialsProject, TargetKind::BandGap, 16, 1)],
-        seed,
-    )
-}
-
 fn train(run: Run, s: Schedule) -> (TrainLog, TaskModel) {
-    let base = TrainConfig {
+    let lips = matches!(run, Run::Pipeline);
+    let clipped = matches!(run, Run::World20);
+    let (world, per_rank) = if clipped { (20, 1) } else { (2, 4) };
+    let seed = if lips { 29 } else { 17 };
+    let ds: Box<dyn Dataset> = if lips {
+        Box::new(SyntheticLips::new(40, seed))
+    } else {
+        Box::new(SyntheticMaterialsProject::new(160, seed))
+    };
+    let pipeline = Compose::standard(4.5, Some(12));
+    let batch = world * per_rank;
+    let shuffle = if lips { ShuffleMode::Blocked(20) } else { ShuffleMode::Global };
+    let train_dl = DataLoader::new(&*ds, Some(&pipeline), Split::Train, 0.2, batch, seed)
+        .with_shuffle_mode(shuffle);
+    let val_dl = DataLoader::new(&*ds, Some(&pipeline), Split::Val, 0.2, batch, seed);
+    let head = if lips {
+        TaskHeadConfig::regression(DatasetId::Lips, TargetKind::Energy, 16, 1)
+    } else {
+        TaskHeadConfig::regression(DatasetId::MaterialsProject, TargetKind::BandGap, 16, 1)
+    };
+    let model = || TaskModel::egnn(EgnnConfig::small(8), &[head], seed);
+    let cfg = TrainConfig {
+        world_size: world,
+        per_rank_batch: per_rank,
+        // 40 LiPS structures → 32 train → 4 batches per epoch.
+        steps: if lips { 12 } else { 20 },
         base_lr: 1e-3,
+        eval_every: 5,
         eval_batches: 2,
         parallel_ranks: s.parallel,
+        seed,
         overlap_comm: s.overlap,
         readahead_threads: s.readahead_threads,
+        readahead_depth: if lips { 2 } else { 0 },
+        clip_norm: clipped.then_some(200.0),
+        skip_nonfinite_updates: clipped,
         ..Default::default()
     };
-    match run {
-        Run::Pipeline => {
-            let ds = SyntheticLips::new(40, 29);
-            let pipeline = Compose::standard(4.5, Some(12));
-            let train_dl = DataLoader::new(&ds, Some(&pipeline), Split::Train, 0.2, 8, 29)
-                .with_shuffle_mode(ShuffleMode::Blocked(20));
-            let val_dl = DataLoader::new(&ds, Some(&pipeline), Split::Val, 0.2, 8, 29);
-            let mut model = TaskModel::egnn(
-                EgnnConfig::small(8),
-                &[TaskHeadConfig::regression(DatasetId::Lips, TargetKind::Energy, 16, 1)],
-                29,
-            );
-            let cfg = TrainConfig {
-                world_size: 2,
-                per_rank_batch: 4,
-                steps: 12,
-                eval_every: 5,
-                seed: 29,
-                readahead_depth: 2,
-                ..base
-            };
-            let log = Trainer::new(cfg).train(&mut model, &train_dl, Some(&val_dl));
-            assert!(log.records.last().unwrap().epoch >= 2, "the run spans 3 epochs");
-            (log, model)
-        }
-        Run::Ddp2Rank | Run::Resume | Run::World20 => {
-            let ds = SyntheticMaterialsProject::new(160, 17);
-            let pipeline = Compose::standard(4.5, Some(12));
-            let (world, per_rank) = if matches!(run, Run::World20) { (20, 1) } else { (2, 4) };
-            let batch = world * per_rank;
-            let train_dl = DataLoader::new(&ds, Some(&pipeline), Split::Train, 0.2, batch, 17);
-            let val_dl = DataLoader::new(&ds, Some(&pipeline), Split::Val, 0.2, batch, 17);
-            let cfg = TrainConfig {
-                world_size: world,
-                per_rank_batch: per_rank,
-                steps: 20,
-                eval_every: 5,
-                seed: 17,
-                ..base
-            };
-            match run {
-                Run::Resume => resume_at_10(cfg, &train_dl, &val_dl, s),
-                Run::World20 => {
-                    let cfg = TrainConfig {
-                        clip_norm: Some(200.0),
-                        skip_nonfinite_updates: true,
-                        ..cfg
-                    };
-                    let mut model = mp_model(17);
-                    let log = Trainer::new(cfg).train(&mut model, &train_dl, Some(&val_dl));
-                    (log, model)
-                }
-                _ => {
-                    let mut model = mp_model(17);
-                    let log = Trainer::new(cfg).train(&mut model, &train_dl, Some(&val_dl));
-                    (log, model)
-                }
-            }
-        }
+    if matches!(run, Run::Resume) {
+        return resume_at_10(cfg, &train_dl, &val_dl, model(), s);
     }
+    let mut model = model();
+    let log = Trainer::new(cfg).train(&mut model, &train_dl, Some(&val_dl));
+    (log, model)
 }
 
 /// Train to step 10 with a checkpoint there, rebuild everything from the
@@ -147,15 +114,11 @@ fn resume_at_10(
     cfg: TrainConfig,
     train_dl: &DataLoader<'_>,
     val_dl: &DataLoader<'_>,
+    mut model: TaskModel,
     s: Schedule,
 ) -> (TrainLog, TaskModel) {
-    let dir = std::env::temp_dir().join(format!(
-        "matsciml-golden-resume-{}-{}-{}-{}",
-        std::process::id(),
-        s.overlap,
-        s.parallel,
-        s.readahead_threads
-    ));
+    let (pid, o, p, r) = (std::process::id(), s.overlap as u8, s.parallel as u8, s.readahead_threads);
+    let dir = std::env::temp_dir().join(format!("matsciml-golden-resume-{pid}-{o}{p}{r}"));
     // The trainer forces an eval on a run's last step; 3 divides the
     // interrupted run's last step (9), so both halves evaluate on the
     // straight run's schedule.
@@ -166,8 +129,7 @@ fn resume_at_10(
         checkpoint_dir: Some(dir.to_str().unwrap().to_string()),
         ..cfg.clone()
     };
-    let mut half_model = mp_model(17);
-    let half = Trainer::new(half_cfg).train(&mut half_model, train_dl, Some(val_dl));
+    let half = Trainer::new(half_cfg).train(&mut model, train_dl, Some(val_dl));
     let ckpt = TrainCheckpoint::load(dir.join("step10.mckpt")).expect("checkpoint must load");
     std::fs::remove_dir_all(&dir).ok();
     let resume_cfg = TrainConfig {
@@ -241,18 +203,6 @@ fn check(run: Run, schedules: &[Schedule]) {
     }
 }
 
-fn every_schedule() -> Vec<Schedule> {
-    let mut all = Vec::new();
-    for overlap in [false, true] {
-        for parallel in [false, true] {
-            for readahead_threads in [0, 1] {
-                all.push(Schedule { overlap, parallel, readahead_threads });
-            }
-        }
-    }
-    all
-}
-
 /// The two ends of the schedule matrix: everything inline and sequential,
 /// and everything overlapped, parallel and read ahead.
 const ENDS: [Schedule; 2] = [
@@ -262,7 +212,10 @@ const ENDS: [Schedule; 2] = [
 
 #[test]
 fn every_step_schedule_reproduces_the_golden_run() {
-    check(Run::Ddp2Rank, &every_schedule());
+    let every: Vec<Schedule> = (0..8)
+        .map(|i| Schedule { overlap: i & 4 != 0, parallel: i & 2 != 0, readahead_threads: i & 1 })
+        .collect();
+    check(Run::Ddp2Rank, &every);
 }
 
 #[test]
@@ -285,7 +238,8 @@ fn world_20_clipped_run_reproduces_its_golden_digest() {
 #[ignore = "rewrites tests/golden; run only after an intentional numerical change"]
 fn write_golden() {
     for run in [Run::Ddp2Rank, Run::Resume, Run::Pipeline, Run::World20] {
-        let (log, model) = train(run, DEFAULT_SCHEDULE);
+        let default = Schedule { overlap: false, parallel: true, readahead_threads: 0 };
+        let (log, model) = train(run, default);
         let path = run.golden_path();
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(path, render(&log, &model)).unwrap();

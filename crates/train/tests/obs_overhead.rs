@@ -78,7 +78,6 @@ fn recorded_step_matches_disabled_obs_step_bitwise() {
     // Instrumentation only observes: a step recorded into a live (null-
     // sink) recorder must be the same computation as a disabled-obs step
     // — not approximately, bit-for-bit.
-    use matsciml_nn::ParamId;
     use matsciml_train::{ddp_step, DdpConfig, DdpTapes, StepInput};
     let cfg = DdpConfig {
         world_size: 2,
@@ -91,13 +90,9 @@ fn recorded_step_matches_disabled_obs_step_bitwise() {
 
     let run = |obs: Obs| {
         let (mut m, _) = setup();
-        m.params.zero_grads();
         let input = StepInput::Samples(&samples[..4]);
         let metrics = ddp_step(&mut m, input, &cfg, 1, &obs, &mut DdpTapes::new());
-        let grads: Vec<Vec<f32>> = (0..m.params.len())
-            .map(|i| m.params.grad(ParamId(i)).as_slice().to_vec())
-            .collect();
-        (metrics, grads)
+        (metrics, m.params.grads().to_vec())
     };
     let (ma, ga) = run(Obs::disabled());
     let (mb, gb) = run(Obs::null());

@@ -37,7 +37,7 @@ fn main() {
         let emb = model.embed(&samples);
         println!("  {name}: {} structures → {}-d embeddings", emb.rows(), emb.cols());
         all.extend_from_slice(emb.as_slice());
-        labels.extend(std::iter::repeat(li).take(per_dataset));
+        labels.extend(std::iter::repeat_n(li, per_dataset));
     }
     let n = labels.len();
     let dim = all.len() / n;
@@ -61,7 +61,7 @@ fn main() {
 
     // Which dataset is most isolated? Nearest-centroid analysis.
     let names = ["materials-project", "carolina", "oc20", "oc22", "lips"];
-    let mut centroids = vec![(0.0f32, 0.0f32); 5];
+    let mut centroids = [(0.0f32, 0.0f32); 5];
     for (i, &l) in labels.iter().enumerate() {
         centroids[l].0 += emb2d.at2(i, 0) / per_dataset as f32;
         centroids[l].1 += emb2d.at2(i, 1) / per_dataset as f32;

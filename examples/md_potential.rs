@@ -50,16 +50,16 @@ fn main() {
     let truth = test[0].forces.as_ref().unwrap();
     println!("\nper-atom forces of one held-out frame (eV/Å):");
     println!("{:>4} {:>24} {:>24}", "atom", "predicted", "true");
-    for i in 0..truth.len().min(5) {
+    for (i, t) in truth.iter().enumerate().take(5) {
         println!(
             "{:>4} ({:>6.2},{:>6.2},{:>6.2}) ({:>6.2},{:>6.2},{:>6.2})",
             i,
             forces.at2(i, 0),
             forces.at2(i, 1),
             forces.at2(i, 2),
-            truth[i].x,
-            truth[i].y,
-            truth[i].z,
+            t.x,
+            t.y,
+            t.z,
         );
     }
     let (ef, ff) = eval(&model, &test);

@@ -3,7 +3,6 @@
 # trajectory table and append it to EXPERIMENTS.md.
 #
 #   cargo bench -p matsciml-bench --bench fwdbwd           # BENCH_fwdbwd.json
-#   cargo bench -p matsciml-bench --bench allreduce        # BENCH_allreduce.json
 #   cargo bench -p matsciml-bench --bench overlap          # BENCH_overlap.json
 #   cargo bench -p matsciml-bench --bench message_passing  # BENCH_msgpass.json
 #   cargo bench -p matsciml-bench --bench simd              # BENCH_simd.json
@@ -39,17 +38,6 @@ if [[ -f BENCH_fwdbwd.json ]]; then
     "$(jq -r '.pooled.steps_per_sec | . * 100 | round / 100' BENCH_fwdbwd.json)" \
     "$(jq -r '.speedup | . * 100 | round / 100' BENCH_fwdbwd.json)x" \
     "$(jq -r '.speedup | . * 100 | round / 100' BENCH_fwdbwd.json)x"
-fi
-
-if [[ -f BENCH_allreduce.json ]]; then
-  while IFS=$'\t' read -r world naive bucketed speedup; do
-    add_row "allreduce (world $world)" "naive → bucketed" "$naive" "$bucketed" "${speedup}x" "—"
-  done < <(jq -r '.rows[] | [
-      .world,
-      (.naive_steps_per_sec    * 100 | round / 100),
-      (.bucketed_steps_per_sec * 100 | round / 100),
-      (.speedup                * 100 | round / 100)
-    ] | @tsv' BENCH_allreduce.json)
 fi
 
 if [[ -f BENCH_overlap.json ]]; then

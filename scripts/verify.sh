@@ -5,15 +5,16 @@
 #
 # The doc gate is scoped to the matsciml crates: the hermetic stubs under
 # third_party/ intentionally carry minimal docs and are not held to the
-# gate. The clippy gate covers the whole workspace (stubs included).
+# gate. The clippy gate covers the whole workspace (stubs included) and
+# every target kind, test and bench code included.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== tier-1: build =="
 cargo build --release
 
-echo "== lint gate: clippy, warnings are errors =="
-cargo clippy --workspace -- -D warnings
+echo "== lint gate: clippy over every target (tests, benches, examples), warnings are errors =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== bench gate: benches compile =="
 cargo bench -p matsciml-bench --no-run

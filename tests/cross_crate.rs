@@ -129,7 +129,7 @@ fn umap_runs_on_real_encoder_embeddings() {
         let samples: Vec<Sample> = (0..30).map(|i| pipeline.apply(ds.sample(i))).collect();
         let emb = model.embed(&samples);
         rows.extend_from_slice(emb.as_slice());
-        labels.extend(std::iter::repeat(li).take(30));
+        labels.extend(std::iter::repeat_n(li, 30));
     }
     let data = Tensor::from_vec(&[60, rows.len() / 60], rows).unwrap();
     let umap = Umap::new(UmapConfig {

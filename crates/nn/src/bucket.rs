@@ -214,14 +214,15 @@ impl PartitionedLayout {
     /// slices, indexed by part.
     pub fn split_mut<'a>(&self, mut buf: &'a mut [f32]) -> Vec<Option<&'a mut [f32]>> {
         assert_eq!(buf.len(), self.total_scalars(), "split_mut: buffer length");
-        let mut out: Vec<Option<&'a mut [f32]>> = (0..self.parts.len()).map(|_| None).collect();
         // Parts run from the end of the buffer to its start.
-        for (p, range) in self.parts.iter().enumerate() {
-            let (head, tail) = std::mem::take(&mut buf).split_at_mut(range.start);
-            out[p] = Some(tail);
-            buf = head;
-        }
-        out
+        self.parts
+            .iter()
+            .map(|range| {
+                let (head, tail) = std::mem::take(&mut buf).split_at_mut(range.start);
+                buf = head;
+                Some(tail)
+            })
+            .collect()
     }
 }
 

@@ -487,10 +487,13 @@ pub fn ddp_step(
     let simd_before = obs.enabled().then(simd_stats);
 
     // Slot 0 folds straight into the arena, moved out of the store while
-    // the ranks read the parameter values through a shared borrow.
+    // the ranks read the parameter values through a shared borrow. A
+    // step that panicked (and was caught) left the store without one;
+    // every span is overwritten below, so a zeroed arena serves.
     let mut arena = model.params.take_grads();
     let shared = &*model;
     let scalars = shared.params.num_scalars();
+    arena.resize(scalars, 0.0);
     let plan = tapes.plan.as_ref().expect("plan built above");
     let (tx, rx) = std::sync::mpsc::channel::<PartMsg>();
     let mut arena_buf = Some(arena.as_mut_slice());
@@ -661,6 +664,23 @@ mod tests {
             step_grads(&mut m, &s, &cfg(2, 2, false, false), 0)
         }));
         assert!(result.is_err(), "wrong sample count must panic");
+    }
+
+    #[test]
+    fn a_step_after_a_caught_panic_still_folds() {
+        // No head matches a Carolina batch, so the fold panics after the
+        // arena has left the store; the next step must not depend on it.
+        let mut m = model();
+        let t = GraphTransform::radius(4.0, Some(12));
+        let cmd = SyntheticCarolina::new(2, 5);
+        let foreign: Vec<Sample> = (0..2).map(|i| t.apply(cmd.sample(i))).collect();
+        let c = cfg(2, 1, false, false);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            step_grads(&mut m, &foreign, &c, 0)
+        }));
+        assert!(caught.is_err(), "a batch no head matches must panic");
+        let s = samples(2);
+        assert_eq!(step_grads(&mut m, &s, &c, 1), step_grads(&mut model(), &s, &c, 1));
     }
 
     #[test]

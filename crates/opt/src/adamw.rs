@@ -2,9 +2,9 @@
 
 use matsciml_nn::ParamSet;
 use matsciml_tensor::{kernels, Tensor};
+use serde::{Deserialize, Serialize};
 
 use crate::InstabilityProbe;
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters for [`AdamW`]. Defaults match the paper's Section 4.2:
 /// β₁ = 0.9, β₂ = 0.999 ("default momentum values"), ε = 1e-8.

@@ -27,16 +27,14 @@
 //! counter ([`bucket_bytes_live`] / [`bucket_bytes_peak`]), which is how the
 //! tests assert the memory bound: a world-512 DDP step keeps at most
 //! `reduce_slots(512) = `[`MAX_REDUCE_SLOTS`] gradient buffers resident —
-//! the store's arena, which slot 0 folds into, and one persistent bucket
-//! per other slot —
-//! O(threads × param-bytes), not O(world × param-bytes).
+//! the store's arena, which slot 0 folds into as a bucket for the length
+//! of the step ([`GradBucket::new`]), and one persistent bucket per
+//! other slot — O(threads × param-bytes), not O(world × param-bytes).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use matsciml_tensor::kernels;
-use serde::{Deserialize, Serialize};
-
 
 /// Upper bound on simultaneously resident reduction slots (and on useful
 /// reduction threads). Matches one dual-socket node's DDP ranks in the
@@ -81,7 +79,7 @@ pub fn rank_range(world_size: usize, slots: usize, slot: usize) -> std::ops::Ran
 }
 
 /// The span table mapping parameter tensors into one flat buffer.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BucketLayout {
     /// `(offset, len)` per parameter, in registration order.
     spans: Vec<(usize, usize)>,
@@ -205,15 +203,10 @@ impl PartitionedLayout {
         (p, span.start - start..span.end - start)
     }
 
-    /// Total scalar count across every part (equals the layout's).
-    pub fn total_scalars(&self) -> usize {
-        self.layout.total_scalars()
-    }
-
     /// Split a flat buffer of this layout into its parts' disjoint
     /// slices, indexed by part.
     pub fn split_mut<'a>(&self, mut buf: &'a mut [f32]) -> Vec<Option<&'a mut [f32]>> {
-        assert_eq!(buf.len(), self.total_scalars(), "split_mut: buffer length");
+        assert_eq!(buf.len(), self.layout.total_scalars(), "split_mut: buffer length");
         // Parts run from the end of the buffer to its start.
         self.parts
             .iter()
@@ -226,18 +219,26 @@ impl PartitionedLayout {
     }
 }
 
-/// One zeroed flat gradient buffer (a DDP slot's fold buffer),
-/// registered with the live/peak byte counters for its lifetime.
+/// One flat gradient buffer (a DDP slot's fold buffer, or a parameter
+/// store's arena for the length of a step), registered with the
+/// live/peak byte counters until [`GradBucket::into_vec`] or drop.
 #[derive(Debug)]
 pub struct GradBucket(Vec<f32>);
 
 impl GradBucket {
-    /// A zeroed buffer of `scalars` values.
-    pub fn zeros(scalars: usize) -> Self {
-        let bytes = scalars * std::mem::size_of::<f32>();
+    /// Register `buf` with the byte counters.
+    pub fn new(buf: Vec<f32>) -> Self {
+        let bytes = buf.len() * std::mem::size_of::<f32>();
         let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
         PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-        GradBucket(vec![0.0; scalars])
+        GradBucket(buf)
+    }
+
+    /// Unregister the buffer and hand it back.
+    pub fn into_vec(mut self) -> Vec<f32> {
+        let buf = std::mem::take(&mut self.0);
+        LIVE_BYTES.fetch_sub(buf.len() * std::mem::size_of::<f32>(), Ordering::Relaxed);
+        buf
     }
 
     /// The whole flat buffer.
@@ -376,7 +377,7 @@ mod tests {
         assert_eq!(p.locate(2), (0, 0..1));
         assert_eq!(p.locate(1), (1, 2..5));
         assert_eq!(p.locate(0), (1, 0..2));
-        assert_eq!(p.total_scalars(), 10);
+        assert_eq!(p.layout().total_scalars(), 10);
     }
 
     #[test]
@@ -419,11 +420,15 @@ mod tests {
     #[test]
     fn byte_accounting_tracks_lifetimes() {
         let before = bucket_bytes_live();
-        let (a, b) = (GradBucket::zeros(256), GradBucket::zeros(256));
+        let (a, b) = (GradBucket::new(vec![0.0; 256]), GradBucket::new(vec![0.0; 256]));
         assert_eq!(bucket_bytes_live(), before + 2 * 1024);
         assert!(bucket_bytes_peak() >= before + 2 * 1024);
         drop(a);
         drop(b);
+        assert_eq!(bucket_bytes_live(), before);
+        let arena = GradBucket::new(vec![1.0; 64]);
+        assert_eq!(bucket_bytes_live(), before + 256);
+        assert_eq!(arena.into_vec(), vec![1.0; 64]);
         assert_eq!(bucket_bytes_live(), before);
     }
 }

@@ -2,7 +2,7 @@
 
 use matsciml_autograd::{Graph, Var};
 use matsciml_tensor::{kernels, Tensor};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::bucket::BucketLayout;
 
@@ -18,8 +18,8 @@ pub struct ParamId(pub usize);
 /// per-tensor handles; gradients live in one flat arena in registration
 /// order ([`ParamSet::bucket_layout`]), so a run of consecutive
 /// parameters is one contiguous range. Serializable for checkpointing
-/// pretrained weights between experiments.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// pretrained weights between experiments (values and names only).
+#[derive(Debug, Clone, Default)]
 pub struct ParamSet {
     values: Vec<Tensor>,
     layout: BucketLayout,
@@ -194,6 +194,34 @@ impl ParamSet {
     }
 }
 
+/// The serialized form of a [`ParamSet`]: its values and names. The
+/// layout and a zeroed arena are rebuilt from the values on load.
+#[derive(Serialize, Deserialize)]
+struct StoredParams {
+    values: Vec<Tensor>,
+    names: Vec<String>,
+}
+
+impl Serialize for ParamSet {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        StoredParams { values: self.values.clone(), names: self.names.clone() }.serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for ParamSet {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let StoredParams { values, names } = StoredParams::deserialize(deserializer)?;
+        if values.len() != names.len() {
+            return Err(serde::de::Error::custom("ParamSet: value and name counts differ"));
+        }
+        let mut ps = ParamSet::new();
+        for (name, value) in names.into_iter().zip(values) {
+            ps.register(name, value);
+        }
+        Ok(ps)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,5 +305,10 @@ mod tests {
         let back: ParamSet = serde_json::from_str(&json).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back.value(ParamId(1)).as_slice(), &[3.0, 4.0, 5.0]);
+        assert_eq!(back.bucket_layout(), ps.bucket_layout());
+        assert_eq!(back.grads(), &[0.0; 5]);
+        assert!(!json.contains("grads"), "the arena is not serialized: {json}");
+        let short = json.replacen("\"b\"", "", 1).replacen(",]", "]", 1);
+        assert!(serde_json::from_str::<ParamSet>(&short).is_err(), "{short}");
     }
 }

@@ -178,7 +178,10 @@ impl AdamW {
         scale: Option<f32>,
         update: bool,
     ) -> f32 {
-        let bc = if update { self.advance() } else { (0.0, 0.0) };
+        // Count the update and take its bias corrections.
+        self.t += u64::from(update);
+        let t = self.t as i32;
+        let bc = (1.0 - self.cfg.beta1.powi(t), 1.0 - self.cfg.beta2.powi(t));
         let mut chains = probe.as_mut().map(|(p, _)| p.begin(params.num_scalars()));
         let mut sumsq = -0.0f64;
         for (i, (value, grad)) in params.pairs_mut().enumerate() {
@@ -202,13 +205,6 @@ impl AdamW {
             probe.finish(chains, loss);
         }
         sumsq.sqrt() as f32
-    }
-
-    /// Count one update and return its bias corrections.
-    fn advance(&mut self) -> (f32, f32) {
-        self.t += 1;
-        let t = self.t as i32;
-        (1.0 - self.cfg.beta1.powi(t), 1.0 - self.cfg.beta2.powi(t))
     }
 
     /// The fused AdamW update of parameter `i`'s scalars `at..at +

@@ -63,7 +63,7 @@
 //! [`MAX_REDUCE_SLOTS`](matsciml_nn::bucket::MAX_REDUCE_SLOTS) gradient
 //! buffers, not 512 rank gradient sets (asserted by the `ddp_memory`
 //! integration test via the bucket byte accounting, which counts the
-//! persistent fold buffers).
+//! persistent fold buffers and, for the length of the step, the arena).
 //!
 //! # What the run record shows
 //!
@@ -487,13 +487,15 @@ pub fn ddp_step(
     let simd_before = obs.enabled().then(simd_stats);
 
     // Slot 0 folds straight into the arena, moved out of the store while
-    // the ranks read the parameter values through a shared borrow. A
-    // step that panicked (and was caught) left the store without one;
-    // every span is overwritten below, so a zeroed arena serves.
+    // the ranks read the parameter values through a shared borrow, and
+    // counted as a bucket for the step. A step that panicked (and was
+    // caught) left the store without one; every span is overwritten
+    // below, so a zeroed arena serves.
     let mut arena = model.params.take_grads();
     let shared = &*model;
     let scalars = shared.params.num_scalars();
     arena.resize(scalars, 0.0);
+    let mut arena = GradBucket::new(arena);
     let plan = tapes.plan.as_ref().expect("plan built above");
     let (tx, rx) = std::sync::mpsc::channel::<PartMsg>();
     let mut arena_buf = Some(arena.as_mut_slice());
@@ -501,7 +503,7 @@ pub fn ddp_step(
     for slot in &mut tapes.slots[..slots] {
         let buf = match arena_buf.take() {
             Some(arena) => arena,
-            None => slot.fold.get_or_insert_with(|| GradBucket::zeros(scalars)).as_mut_slice(),
+            None => slot.fold.get_or_insert_with(|| GradBucket::new(vec![0.0; scalars])).as_mut_slice(),
         };
         work.push(SlotWork {
             tape: &mut slot.tape,
@@ -566,7 +568,7 @@ pub fn ddp_step(
     for w in work {
         rank_metrics.extend(w.metrics);
     }
-    model.params.restore_grads(arena);
+    model.params.restore_grads(arena.into_vec());
 
     if obs.enabled() {
         let grad_bytes = model.params.bucket_layout().bytes() as u64;

@@ -1,10 +1,13 @@
-//! Overlap-scheduler acceptance. That the overlapped reduction with
-//! read-ahead reproduces the inline one bit for bit on the 2-rank,
-//! 20-step reference run is checked against its committed digest by
-//! `golden_digests.rs`, under every schedule.
+//! The overlap-scheduler acceptance test: turning on the overlapped
+//! backward↔allreduce step and read-ahead must be a pure scheduling
+//! change. A 2-rank, 20-step training run with `overlap_comm` +
+//! `readahead_threads: 1` enabled must reproduce the default inline
+//! reduction over synchronous loads **bit for bit**: every per-step loss,
+//! grad norm, learning rate, every validation metric, and every final
+//! parameter tensor.
 //!
-//! One test records an overlapped run through a memory sink and checks
-//! the observability surface: the `ddp/overlap_frac`,
+//! A second test records an overlapped run through a memory sink and
+//! checks the observability surface: the `ddp/overlap_frac`,
 //! `ddp/exposed_comm_ms`, and `ddp/overlapped_comm_ms` histograms appear
 //! in the run-record summary, and `data/readahead_hit` counts the
 //! read-ahead pipeline's in-order takes.
@@ -30,9 +33,7 @@ const WORLD: usize = 2;
 const PER_RANK: usize = 4;
 const STEPS: u64 = 20;
 
-/// The 2-rank, 20-step reference run, overlapped with read-ahead and
-/// recorded through `obs`.
-fn run(obs: &Obs) -> TrainLog {
+fn run(overlap: bool, obs: &Obs) -> (TrainLog, TaskModel) {
     let ds = SyntheticMaterialsProject::new(160, 17);
     let pipeline = Compose::standard(4.5, Some(12));
     let batch = WORLD * PER_RANK;
@@ -52,11 +53,44 @@ fn run(obs: &Obs) -> TrainLog {
         eval_batches: 2,
         parallel_ranks: true,
         seed: 17,
-        overlap_comm: true,
-        readahead_threads: 1,
+        overlap_comm: overlap,
+        readahead_threads: usize::from(overlap),
         ..Default::default()
     });
-    trainer.train_observed(&mut model, &train_dl, Some(&val_dl), obs)
+    let log = trainer.train_observed(&mut model, &train_dl, Some(&val_dl), obs);
+    (log, model)
+}
+
+#[test]
+fn overlapped_training_is_bit_identical_to_inline_reduction() {
+    let (seq_log, seq_model) = run(false, &Obs::disabled());
+    let (ov_log, ov_model) = run(true, &Obs::disabled());
+
+    assert_eq!(seq_log.records.len(), ov_log.records.len());
+    for (a, b) in seq_log.records.iter().zip(&ov_log.records) {
+        assert_eq!(
+            a.train.get("loss"),
+            b.train.get("loss"),
+            "step {}: training loss diverged",
+            a.step
+        );
+        assert_eq!(a.grad_norm, b.grad_norm, "step {}: grad norm diverged", a.step);
+        assert_eq!(a.lr, b.lr, "step {}", a.step);
+        match (&a.val, &b.val) {
+            (Some(va), Some(vb)) => assert_eq!(va.0, vb.0, "step {}: val metrics diverged", a.step),
+            (None, None) => {}
+            _ => panic!("step {}: eval schedule diverged", a.step),
+        }
+    }
+
+    assert_eq!(seq_model.params.len(), ov_model.params.len());
+    for i in 0..seq_model.params.len() {
+        assert_eq!(
+            seq_model.params.value(ParamId(i)).as_slice(),
+            ov_model.params.value(ParamId(i)).as_slice(),
+            "final parameter {i} diverged between inline and overlapped reduction"
+        );
+    }
 }
 
 #[test]
@@ -64,7 +98,7 @@ fn observed_overlapped_run_reports_overlap_and_readahead() {
     let sink = MemorySink::new();
     let buffer = sink.buffer();
     let obs = Obs::recording(RunRecorder::new(Box::new(sink)));
-    let log = run(&obs);
+    let (log, _) = run(true, &obs);
     obs.flush();
 
     let text = buffer.lock().unwrap().join("\n");

@@ -1,37 +1,36 @@
 //! Reduced-precision serving vs the exact f32 tier, under saturating
 //! batched load.
 //!
-//! Three arms run the same batched `InferenceServer` setup — the full
-//! production kernel configuration, 16 closed-loop clients, coalescing
+//! Three arms run the same batched `InferenceServer` setup — the
+//! production kernels, 16 closed-loop clients, coalescing
 //! up to 16 requests per forward — and differ only in `--precision`:
 //! the **f32** arm serves bit-exact predictions through the pinned-lane
 //! kernels, the **f16** and **bf16** arms quantize the parameters at
 //! load and run the wide FMA kernels with their vectorized
-//! fast-approximation activations. Arms are interleaved within each
-//! repetition (f32, f16, bf16, then again) so thermal or scheduler
-//! drift cannot masquerade as a precision effect, and every response in
+//! fast-approximation activations. Arms run in rotating order within
+//! each repetition (f32, f16, bf16; then f16, bf16, f32; …) so thermal
+//! or scheduler drift cannot masquerade as a precision effect, and every response in
 //! the reduced-precision arms is checked against the exact
 //! lone-structure prediction: the f16 arm must stay within 1e-2 max
 //! relative error per request, bf16 within 4e-2.
 //!
 //! Run with `cargo bench --bench infer`. Emits `BENCH_infer.json` at
-//! the repo root: per-arm req/s and exact p50/p99 latency for every
-//! rep, median throughput, worst observed relative error, and the
-//! reduced-precision speedups (f16 asserted ≥ 1.4× f32).
+//! the repo root: per-arm req/s, latency quantiles and p99 for every
+//! rep, throughput quantiles over reps, worst observed relative error,
+//! and the reduced-precision speedups (f16 asserted ≥ 1.4× f32).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use matsciml::datasets::{Compose, Dataset, DatasetId, SyntheticMaterialsProject, Transform};
 use matsciml::models::EgnnConfig;
-use matsciml::nn::{set_fused_edges, set_fused_linear, ParamId};
+use matsciml::nn::ParamId;
 use matsciml::obs::Obs;
-use matsciml::tensor::{
-    max_rel_error, set_infer_precision, set_pool_enabled, set_simd_enabled, Precision,
-};
+use matsciml::tensor::{max_rel_error, set_infer_precision, set_simd_enabled, Precision};
 use matsciml::train::{
     InferenceServer, ServeConfig, ServeError, TargetKind, TaskHeadConfig, TaskModel,
 };
+use matsciml_bench::harness::{quantile, rotate, write_report, ArmStats};
 use serde::Serialize;
 
 const CUTOFF: f32 = 4.5;
@@ -53,7 +52,7 @@ const BF16_TOL: f32 = 4e-2;
 struct Measurement {
     requests: usize,
     throughput_rps: f64,
-    p50_us: f64,
+    latency_us: ArmStats,
     p99_us: f64,
     mean_batch_size: f64,
     /// Worst per-request max relative error vs the exact f32 singles.
@@ -64,6 +63,7 @@ struct Measurement {
 struct Arm {
     precision: String,
     reps: Vec<Measurement>,
+    rps: ArmStats,
     median_rps: f64,
     worst_rel_error: f32,
 }
@@ -105,17 +105,6 @@ fn model() -> TaskModel {
         }
     }
     m
-}
-
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx]
-}
-
-fn median(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
 }
 
 /// One closed-loop run at `CLIENTS` clients against a fresh server in
@@ -194,11 +183,10 @@ fn run_arm(precision: Precision, indices: &[usize], singles: &[Vec<f32>]) -> Mea
             worst = worst.max(max_rel_error(&singles[*idx], row));
         }
     }
-    lats.sort_by(f64::total_cmp);
     Measurement {
         requests: total,
         throughput_rps: total as f64 / wall,
-        p50_us: quantile(&lats, 0.50),
+        latency_us: ArmStats::of("us/request", &lats),
         p99_us: quantile(&lats, 0.99),
         mean_batch_size: if batches > 0 { total as f64 / batches as f64 } else { 0.0 },
         max_rel_error: worst,
@@ -206,9 +194,6 @@ fn run_arm(precision: Precision, indices: &[usize], singles: &[Vec<f32>]) -> Mea
 }
 
 fn main() {
-    set_pool_enabled(true);
-    set_fused_linear(true);
-    set_fused_edges(true);
     set_simd_enabled(true);
     set_infer_precision(Precision::F32);
 
@@ -231,40 +216,38 @@ fn main() {
 
     let precisions = [Precision::F32, Precision::F16, Precision::Bf16];
     let tolerances = [0.0f32, F16_TOL, BF16_TOL];
-    let mut reps: Vec<Vec<Measurement>> = precisions.iter().map(|_| Vec::new()).collect();
-    for rep in 0..REPS {
-        for (k, &precision) in precisions.iter().enumerate() {
-            let m = run_arm(precision, &indices, &singles);
-            println!(
-                "rep {rep} {:>4}: {:>8.0} req/s  p50 {:>7.0} us  p99 {:>7.0} us  \
-                 mean batch {:>4.1}  max rel err {:.3e}",
+    let reps = rotate(precisions.len(), REPS, |k, rep| {
+        let precision = precisions[k];
+        let m = run_arm(precision, &indices, &singles);
+        println!(
+            "rep {rep} {:>4}: {:>8.0} req/s  p50 {:>7.0} us  p99 {:>7.0} us  \
+             mean batch {:>4.1}  max rel err {:.3e}",
+            precision.name(),
+            m.throughput_rps,
+            m.latency_us.median,
+            m.p99_us,
+            m.mean_batch_size,
+            m.max_rel_error,
+        );
+        // Tolerance is part of the contract, asserted per rep: the f32
+        // arm must be bit-exact (the metric reports 0), the reduced arms
+        // within their documented budgets.
+        let tol = tolerances[k];
+        if tol == 0.0 {
+            assert_eq!(
+                m.max_rel_error, 0.0,
+                "f32 serving diverged from the lone-structure predictions"
+            );
+        } else {
+            assert!(
+                m.max_rel_error <= tol,
+                "{} serving exceeded its relative-error budget: {:.3e} > {tol:.0e}",
                 precision.name(),
-                m.throughput_rps,
-                m.p50_us,
-                m.p99_us,
-                m.mean_batch_size,
                 m.max_rel_error,
             );
-            // Tolerance is part of the contract, asserted per rep: the
-            // f32 arm must be bit-exact (the metric reports 0), the
-            // reduced arms within their documented budgets.
-            let tol = tolerances[k];
-            if tol == 0.0 {
-                assert_eq!(
-                    m.max_rel_error, 0.0,
-                    "f32 serving diverged from the lone-structure predictions"
-                );
-            } else {
-                assert!(
-                    m.max_rel_error <= tol,
-                    "{} serving exceeded its relative-error budget: {:.3e} > {tol:.0e}",
-                    precision.name(),
-                    m.max_rel_error,
-                );
-            }
-            reps[k].push(m);
         }
-    }
+        m
+    });
     // The arms flip a process-global toggle; leave it where it started.
     set_infer_precision(Precision::F32);
 
@@ -273,10 +256,12 @@ fn main() {
         .zip(reps)
         .map(|(p, reps)| {
             let rps: Vec<f64> = reps.iter().map(|m| m.throughput_rps).collect();
+            let rps = ArmStats::of("req/s", &rps);
             let worst = reps.iter().map(|m| m.max_rel_error).fold(0.0f32, f32::max);
             Arm {
                 precision: p.name().to_string(),
-                median_rps: median(&rps),
+                median_rps: rps.median,
+                rps,
                 worst_rel_error: worst,
                 reps,
             }
@@ -290,20 +275,21 @@ fn main() {
          got {f16_speedup:.2}x"
     );
 
-    let report = Report {
-        hidden: HIDDEN,
-        pool: POOL,
-        workers: WORKERS,
-        max_batch: MAX_BATCH,
-        clients: CLIENTS,
-        reqs_per_client: REQS_PER_CLIENT,
-        f16_tolerance: F16_TOL,
-        bf16_tolerance: BF16_TOL,
-        arms,
-        f16_speedup,
-        bf16_speedup,
-    };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_infer.json");
-    std::fs::write(path, serde_json::to_string_pretty(&report).unwrap()).unwrap();
-    println!("wrote {path} (f16 {f16_speedup:.2}x, bf16 {bf16_speedup:.2}x vs f32)");
+    println!("f16 {f16_speedup:.2}x, bf16 {bf16_speedup:.2}x vs f32");
+    write_report(
+        "infer",
+        &Report {
+            hidden: HIDDEN,
+            pool: POOL,
+            workers: WORKERS,
+            max_batch: MAX_BATCH,
+            clients: CLIENTS,
+            reqs_per_client: REQS_PER_CLIENT,
+            f16_tolerance: F16_TOL,
+            bf16_tolerance: BF16_TOL,
+            arms,
+            f16_speedup,
+            bf16_speedup,
+        },
+    );
 }

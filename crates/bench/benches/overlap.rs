@@ -18,7 +18,7 @@
 //! asserted here on every reduced-loss rep and by the train crate's
 //! `overlap_bitwise` and `golden_digests` tests on full trajectories.
 //!
-//! Arms are timed in alternation so background load perturbs both
+//! Arms are timed in rotating order so background load perturbs both
 //! instead of biasing one. The ≥1.2× speedup assertion only applies when
 //! the host grants enough real threads for backward and communication to
 //! actually overlap (`std::thread::available_parallelism() ≥ 4`); on a
@@ -26,27 +26,20 @@
 //! the observed ratio with `speedup_asserted: false`.
 //!
 //! Run with `cargo bench --bench overlap`. Emits `BENCH_overlap.json` at
-//! the repo root: steps/sec per arm, speedup, thread gate, and the
-//! bucket partition shape.
-
-use std::time::Instant;
+//! the repo root: steps/sec and step-time quantiles per arm, speedup and
+//! the thread gate.
 
 use matsciml::datasets::{Dataset, DatasetId, GraphTransform, SyntheticMaterialsProject, Transform};
 use matsciml::models::EgnnConfig;
+use matsciml::obs::Obs;
 use matsciml::train::{
     ddp_step, DdpConfig, DdpTapes, StepInput, TargetKind, TaskHeadConfig, TaskModel,
 };
-use matsciml::obs::Obs;
+use matsciml_bench::harness::{rotate, timed, write_report, ArmStats};
 use serde::Serialize;
 
 const WORLD: usize = 4;
 const PER_RANK: usize = 1;
-
-/// Median of a set of per-call timings.
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
 
 #[derive(Serialize)]
 struct Report {
@@ -56,6 +49,8 @@ struct Report {
     threads: usize,
     sequential_steps_per_sec: f64,
     overlapped_steps_per_sec: f64,
+    sequential: ArmStats,
+    overlapped: ArmStats,
     speedup: f64,
     /// Whether the ≥1.2× bound was asserted (requires ≥4 real threads).
     speedup_asserted: bool,
@@ -83,50 +78,38 @@ fn main() {
         seed: 17,
         overlap: false,
     };
-    let ov = DdpConfig { overlap: true, ..seq };
+    // Arm 0 is sequential, arm 1 overlapped; each keeps its own tapes.
+    let configs = [seq, DdpConfig { overlap: true, ..seq }];
     let input = StepInput::Samples(&samples);
     let obs = Obs::disabled();
-    let mut seq_tapes = DdpTapes::new();
-    let mut ov_tapes = DdpTapes::new();
+    let mut tapes = [DdpTapes::new(), DdpTapes::new()];
     let reps = 7;
 
     // Warmup both arms (tapes and pool reach steady state), then time in
-    // alternation.
-    let warm_seq = ddp_step(&mut model, input, &seq, 0, &obs, &mut seq_tapes);
-    let warm_ov = ddp_step(&mut model, input, &ov, 0, &obs, &mut ov_tapes);
-    assert_eq!(
-        warm_seq.get("loss").unwrap().to_bits(),
-        warm_ov.get("loss").unwrap().to_bits(),
-        "warmup losses must agree bit for bit"
-    );
-
-    let mut seq_times = Vec::with_capacity(reps);
-    let mut ov_times = Vec::with_capacity(reps);
-    let mut bits_match = true;
-    for rep in 0..reps {
-        let step = rep as u64 + 1;
-        let t0 = Instant::now();
-        let m_seq = ddp_step(&mut model, input, &seq, step, &obs, &mut seq_tapes);
-        seq_times.push(t0.elapsed().as_secs_f64());
-
-        let t0 = Instant::now();
-        let m_ov = ddp_step(&mut model, input, &ov, step, &obs, &mut ov_tapes);
-        ov_times.push(t0.elapsed().as_secs_f64());
-
-        let (a, b) = (m_seq.get("loss").unwrap(), m_ov.get("loss").unwrap());
-        assert_eq!(a.to_bits(), b.to_bits(), "rep {rep}: losses diverged ({a} vs {b})");
-        bits_match &= a.to_bits() == b.to_bits();
+    // rotation. One step returns its seconds and loss bits.
+    let mut step = |arm: usize, step: u64| {
+        let (secs, m) =
+            timed(|| ddp_step(&mut model, input, &configs[arm], step, &obs, &mut tapes[arm]));
+        (secs, m.get("loss").unwrap().to_bits())
+    };
+    assert_eq!(step(0, 0).1, step(1, 0).1, "warmup losses must agree bit for bit");
+    let runs = rotate(2, reps, |arm, rep| step(arm, rep as u64 + 1));
+    for (rep, (a, b)) in runs[0].iter().zip(&runs[1]).enumerate() {
+        assert_eq!(a.1, b.1, "rep {rep}: losses diverged");
     }
-    let t_seq = median(seq_times);
-    let t_ov = median(ov_times);
-    let speedup = t_seq / t_ov;
+    let stats = |arm: usize| {
+        let secs: Vec<f64> = runs[arm].iter().map(|r| r.0).collect();
+        ArmStats::of("s/step", &secs)
+    };
+    let (sequential, overlapped) = (stats(0), stats(1));
+    let speedup = sequential.median / overlapped.median;
     let gate = threads >= WORLD;
 
     println!(
         "overlap bench (EGNN hidden={hidden}, world={WORLD}, B={PER_RANK}, {threads} threads): \
          sequential {:.2} ms, overlapped {:.2} ms, speedup {speedup:.2}x{}",
-        t_seq * 1e3,
-        t_ov * 1e3,
+        sequential.median * 1e3,
+        overlapped.median * 1e3,
         if gate { "" } else { " (not asserted: too few threads)" },
     );
     if gate {
@@ -136,19 +119,20 @@ fn main() {
         );
     }
 
-    let report = Report {
-        hidden,
-        world: WORLD,
-        per_rank_batch: PER_RANK,
-        threads,
-        sequential_steps_per_sec: 1.0 / t_seq,
-        overlapped_steps_per_sec: 1.0 / t_ov,
-        speedup,
-        speedup_asserted: gate,
-        loss_bits_match: bits_match,
-    };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_overlap.json");
-    std::fs::write(path, serde_json::to_string_pretty(&report).unwrap())
-        .expect("write BENCH_overlap.json");
-    println!("wrote {path}");
+    write_report(
+        "overlap",
+        &Report {
+            hidden,
+            world: WORLD,
+            per_rank_batch: PER_RANK,
+            threads,
+            sequential_steps_per_sec: 1.0 / sequential.median,
+            overlapped_steps_per_sec: 1.0 / overlapped.median,
+            sequential,
+            overlapped,
+            speedup,
+            speedup_asserted: gate,
+            loss_bits_match: true,
+        },
+    );
 }

@@ -22,14 +22,13 @@
 //! hidden-256 E(n)-GNN (`EgnnConfig::paper()`), which consumes one
 //! prepared step per rep — untimed — to pin **per-rep loss
 //! bit-identity** across all three arms: the pipeline may only change
-//! *when* work happens, never the numbers. Arms are timed in rep
-//! alternation so background load perturbs all three equally.
+//! *when* work happens, never the numbers. Arms run in rotating order
+//! within each rep so background load perturbs all three equally.
 //!
 //! Run with `cargo bench --bench pipeline`. Emits `BENCH_pipeline.json`
 //! at the repo root; `steps_per_sec` counts delivered optimizer-step
-//! batch sets (world × per-rank batches).
-
-use std::time::Instant;
+//! batch sets (world × per-rank batches), and each arm's block holds the
+//! quantiles of its per-rep seconds per batch set.
 
 use matsciml::datasets::{
     write_corpus_iter, Compose, CorpusWriteOptions, DataLoader, Dataset, ShuffleMode, Split,
@@ -41,6 +40,7 @@ use matsciml::nn::ForwardCtx;
 use matsciml::tensor::Vec3;
 use matsciml::train::{collate_ranks, Batch, TargetKind, TaskHeadConfig, TaskModel};
 use matsciml::datasets::{DatasetId, Sample, Targets};
+use matsciml_bench::harness::{rotate, timed, write_report, ArmStats};
 use serde::Serialize;
 
 const WORLD: usize = 4;
@@ -77,11 +77,6 @@ fn supercell(base: Sample) -> Sample {
     }
 }
 
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
 #[derive(Serialize)]
 struct Report {
     hidden: usize,
@@ -95,6 +90,9 @@ struct Report {
     off_steps_per_sec: f64,
     cached_steps_per_sec: f64,
     on_steps_per_sec: f64,
+    off: ArmStats,
+    cached: ArmStats,
+    on: ArmStats,
     /// Graph-cache arm vs baseline.
     speedup_cached: f64,
     /// Full pipeline (precomputed edges) vs baseline.
@@ -126,12 +124,11 @@ fn run_arm(
                 }
             }
             for b in &sched {
-                let t0 = Instant::now();
-                let batches = match &mut ra {
+                let (secs, batches) = timed(|| match &mut ra {
                     Some(ra) => ra.take_observed(dl, b, &obs),
                     None => collate_ranks(&dl.load(b), PER_RANK),
-                };
-                elapsed += t0.elapsed().as_secs_f64();
+                });
+                elapsed += secs;
                 if steps == 0 {
                     probe(&batches);
                 }
@@ -188,41 +185,38 @@ fn main() {
     // the (thread-independent) removal of transform work.
     let ra_threads = if threads >= 2 { 2 } else { 0 };
 
-    let mut off_times = Vec::with_capacity(REPS);
-    let mut cached_times = Vec::with_capacity(REPS);
-    let mut on_times = Vec::with_capacity(REPS);
-    let mut steps_per_rep = 0;
-    let mut bits_match = true;
-    for _rep in 0..REPS {
-        let mut bits: Vec<u32> = Vec::with_capacity(3);
-
-        set_graph_cache(false);
-        let (t, steps) = run_arm(&dl_raw, 0, &mut |b| bits.push(loss_of(b)));
-        off_times.push(t / steps as f64);
-        steps_per_rep = steps;
-
-        set_graph_cache(true);
-        reset_graph_cache();
-        let (t, steps) = run_arm(&dl_raw, 0, &mut |b| bits.push(loss_of(b)));
-        cached_times.push(t / steps as f64);
-        assert_eq!(steps, steps_per_rep);
-
-        let (t, steps) = run_arm(&dl_pre, ra_threads, &mut |b| bits.push(loss_of(b)));
-        on_times.push(t / steps as f64);
-        assert_eq!(steps, steps_per_rep);
-
-        assert!(
-            bits.iter().all(|&b| b == bits[0]),
-            "arms diverged: probe losses {bits:x?}"
-        );
-        bits_match &= bits.iter().all(|&b| b == bits[0]);
-    }
+    // Arms: 0 all-recompute (cache off), 1 graph cache, 2 precomputed
+    // edges. Each rep returns seconds per batch set, steps and probe bits.
+    let runs = rotate(3, REPS, |arm, _| {
+        let mut bits = 0;
+        let (t, steps) = match arm {
+            0 => {
+                set_graph_cache(false);
+                run_arm(&dl_raw, 0, &mut |b| bits = loss_of(b))
+            }
+            1 => {
+                set_graph_cache(true);
+                reset_graph_cache();
+                run_arm(&dl_raw, 0, &mut |b| bits = loss_of(b))
+            }
+            _ => run_arm(&dl_pre, ra_threads, &mut |b| bits = loss_of(b)),
+        };
+        (t / steps as f64, steps, bits)
+    });
     set_graph_cache(true);
     reset_graph_cache();
-
-    let t_off = median(off_times);
-    let t_cached = median(cached_times);
-    let t_on = median(on_times);
+    let steps_per_rep = runs[0][0].1;
+    for rep in 0..REPS {
+        let bits: Vec<u32> = runs.iter().map(|arm| arm[rep].2).collect();
+        assert!(runs.iter().all(|arm| arm[rep].1 == steps_per_rep));
+        assert!(bits.iter().all(|&b| b == bits[0]), "arms diverged: probe losses {bits:x?}");
+    }
+    let stats = |arm: usize| {
+        let secs: Vec<f64> = runs[arm].iter().map(|r| r.0).collect();
+        ArmStats::of("s/batch set", &secs)
+    };
+    let (off, cached, on) = (stats(0), stats(1), stats(2));
+    let (t_off, t_cached, t_on) = (off.median, cached.median, on.median);
     let speedup_cached = t_off / t_cached;
     let speedup = t_off / t_on;
 
@@ -241,26 +235,28 @@ fn main() {
         "zero-recompute pipeline must deliver batches >= 1.25x faster, got {speedup:.2}x"
     );
 
-    let report = Report {
-        hidden: 256,
-        world: WORLD,
-        per_rank_batch: PER_RANK,
-        atoms_per_structure: atoms,
-        epochs: EPOCHS,
-        steps_per_rep,
-        threads,
-        worker_collate: ra_threads > 0,
-        off_steps_per_sec: 1.0 / t_off,
-        cached_steps_per_sec: 1.0 / t_cached,
-        on_steps_per_sec: 1.0 / t_on,
-        speedup_cached,
-        speedup,
-        speedup_asserted: true,
-        loss_bits_match: bits_match,
-    };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    std::fs::write(path, serde_json::to_string_pretty(&report).unwrap())
-        .expect("write BENCH_pipeline.json");
-    println!("wrote {path}");
+    write_report(
+        "pipeline",
+        &Report {
+            hidden: 256,
+            world: WORLD,
+            per_rank_batch: PER_RANK,
+            atoms_per_structure: atoms,
+            epochs: EPOCHS,
+            steps_per_rep,
+            threads,
+            worker_collate: ra_threads > 0,
+            off_steps_per_sec: 1.0 / t_off,
+            cached_steps_per_sec: 1.0 / t_cached,
+            on_steps_per_sec: 1.0 / t_on,
+            off,
+            cached,
+            on,
+            speedup_cached,
+            speedup,
+            speedup_asserted: true,
+            loss_bits_match: true,
+        },
+    );
     std::fs::remove_dir_all(&tmp).ok();
 }

@@ -1,8 +1,8 @@
 //! Single vs batched inference serving under closed-loop load.
 //!
-//! Both arms run the same `InferenceServer` — two workers, the full
-//! production kernel configuration (pooling, fused dense/edge emission,
-//! SIMD lane tier), index-keyed collate caching — and differ only in
+//! Both arms run the same `InferenceServer` — two workers, the
+//! production kernels with the SIMD lane tier on, index-keyed collate
+//! caching — and differ only in
 //! `max_batch`: the **single** arm forwards one structure per request
 //! (`max_batch = 1`), the **batched** arm lets a worker coalesce up to
 //! 16 queued requests into one collated forward. Every response in both
@@ -17,8 +17,9 @@
 //! at `C = 16` the queue stays deep enough that batching saturates.
 //!
 //! Run with `cargo bench --bench serve`. Emits `BENCH_serve.json` at
-//! the repo root: throughput plus exact p50/p99 latency per arm at each
-//! load, and the saturated speedup (asserted ≥ 2×).
+//! the repo root: throughput, latency quantiles and p99 per arm at each
+//! load (arms in rotating order across loads), and the saturated speedup
+//! (asserted ≥ 2×).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,12 +28,12 @@ use matsciml::datasets::{
     Compose, Dataset, DatasetId, SyntheticMaterialsProject, Transform,
 };
 use matsciml::models::EgnnConfig;
-use matsciml::nn::{set_fused_edges, set_fused_linear};
 use matsciml::obs::Obs;
-use matsciml::tensor::{set_pool_enabled, set_simd_enabled};
+use matsciml::tensor::set_simd_enabled;
 use matsciml::train::{
     InferenceServer, ServeConfig, ServeError, TargetKind, TaskHeadConfig, TaskModel,
 };
+use matsciml_bench::harness::{quantile, rotate, write_report, ArmStats};
 use serde::Serialize;
 
 const CUTOFF: f32 = 4.5;
@@ -48,7 +49,7 @@ const LOADS: [usize; 5] = [1, 2, 4, 8, 16];
 struct Measurement {
     requests: usize,
     throughput_rps: f64,
-    p50_us: f64,
+    latency_us: ArmStats,
     p99_us: f64,
     mean_batch_size: f64,
 }
@@ -82,11 +83,6 @@ fn model() -> TaskModel {
         &[TaskHeadConfig::regression(DatasetId::MaterialsProject, TargetKind::BandGap, 16, 1)],
         21,
     )
-}
-
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx]
 }
 
 /// Drive `clients` closed-loop threads against a fresh server with the
@@ -163,20 +159,16 @@ fn run_arm(max_batch: usize, clients: usize, singles: &[Vec<f32>], ok: &mut bool
             }
         }
     }
-    lats.sort_by(f64::total_cmp);
     Measurement {
         requests: total,
         throughput_rps: total as f64 / wall,
-        p50_us: quantile(&lats, 0.50),
+        latency_us: ArmStats::of("us/request", &lats),
         p99_us: quantile(&lats, 0.99),
         mean_batch_size: if batches > 0 { total as f64 / batches as f64 } else { 0.0 },
     }
 }
 
 fn main() {
-    set_pool_enabled(true);
-    set_fused_linear(true);
-    set_fused_edges(true);
     set_simd_enabled(true);
 
     // Ground truth: every pool entry predicted alone on a fresh tape.
@@ -191,11 +183,16 @@ fn main() {
         .collect();
     drop(m);
 
+    // Arm 0 serves one structure per forward, arm 1 batches; each load is
+    // one rep.
     let mut ok = true;
+    let mut arms = rotate(2, LOADS.len(), |arm, rep| {
+        run_arm([1, MAX_BATCH][arm], LOADS[rep], &singles, &mut ok)
+    });
+    let batched = arms.pop().unwrap();
+    let single = arms.pop().unwrap();
     let mut loads = Vec::new();
-    for &clients in &LOADS {
-        let single = run_arm(1, clients, &singles, &mut ok);
-        let batched = run_arm(MAX_BATCH, clients, &singles, &mut ok);
+    for ((&clients, single), batched) in LOADS.iter().zip(single).zip(batched) {
         let speedup = batched.throughput_rps / single.throughput_rps;
         println!(
             "clients {clients:>2}: single {:>8.0} req/s (p99 {:>7.0} us) | batched {:>8.0} req/s \
@@ -207,23 +204,23 @@ fn main() {
     }
 
     let saturated_speedup = loads[loads.len() - 1].speedup;
+    // Written before the gates, so a failing run still leaves its numbers.
+    write_report(
+        "serve",
+        &Report {
+            hidden: 16,
+            pool: POOL,
+            workers: WORKERS,
+            max_batch: MAX_BATCH,
+            reqs_per_client: REQS_PER_CLIENT,
+            bit_identical: ok,
+            loads,
+            saturated_speedup,
+        },
+    );
     assert!(ok, "a served response diverged from the lone-structure prediction");
     assert!(
         saturated_speedup >= 2.0,
         "batched serving must be at least 2x single at saturating load, got {saturated_speedup:.2}x"
     );
-
-    let report = Report {
-        hidden: 16,
-        pool: POOL,
-        workers: WORKERS,
-        max_batch: MAX_BATCH,
-        reqs_per_client: REQS_PER_CLIENT,
-        bit_identical: ok,
-        loads,
-        saturated_speedup,
-    };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, serde_json::to_string_pretty(&report).unwrap()).unwrap();
-    println!("wrote {path} (saturated speedup {saturated_speedup:.2}x)");
 }

@@ -1,10 +1,10 @@
 //! Scalar vs SIMD lane tier on the paper-shape E(n)-GNN forward/backward.
 //!
-//! Both arms run the full production configuration — buffer pooling,
-//! fused dense emission, one persistent tape reset per step — and differ
-//! only in `set_simd_enabled`: the **scalar** arm replays the canonical
-//! 4-chain scalar kernels, the **simd** arm dispatches the same ops to
-//! the register-blocked `core::arch` bodies. The two are bit-identical
+//! Both arms run the production configuration — one persistent tape
+//! reset per step — and differ only in `set_simd_enabled`: the
+//! **scalar** arm replays the canonical 4-chain scalar kernels, the
+//! **simd** arm dispatches the same ops to the register-blocked
+//! `core::arch` bodies. The two are bit-identical
 //! by construction (asserted per rep on the loss, and end-to-end by the
 //! train crate's `simd_bitwise` trajectory test), so the timed gap is
 //! pure instruction selection: vector width and the register-held
@@ -12,24 +12,17 @@
 //! `z` through the store buffer once per `k`.
 //!
 //! Run with `cargo bench --bench simd`. Emits `BENCH_simd.json` at the
-//! repo root: steps/sec per arm, speedup (asserted ≥ 1.3×), and the
-//! lane-tier counter traffic per step.
-
-use std::time::Instant;
+//! repo root: steps/sec and step-time quantiles per arm, speedup
+//! (asserted ≥ 1.3×), and the lane-tier counter traffic per step.
 
 use matsciml::autograd::Graph;
 use matsciml::datasets::{Dataset, DatasetId, GraphTransform, SyntheticMaterialsProject, Transform};
 use matsciml::models::EgnnConfig;
-use matsciml::nn::{set_fused_edges, set_fused_linear, ForwardCtx};
-use matsciml::tensor::{set_pool_enabled, set_simd_enabled, simd_stats};
+use matsciml::nn::ForwardCtx;
+use matsciml::tensor::{set_simd_enabled, simd_stats};
 use matsciml::train::{collate, TargetKind, TaskHeadConfig, TaskModel};
+use matsciml_bench::harness::{rotate, timed, write_report, ArmStats};
 use serde::Serialize;
-
-/// Median of a set of per-call timings.
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
 
 #[derive(Serialize)]
 struct Arm {
@@ -38,6 +31,7 @@ struct Arm {
     lane_ops_per_step: u64,
     /// Kernel entries that fell back to the scalar path per step.
     fallback_hits_per_step: u64,
+    step_s: ArmStats,
 }
 
 #[derive(Serialize)]
@@ -65,70 +59,55 @@ fn main() {
     let batch = collate(&samples);
     let reps = 9;
 
-    // Everything but the lane tier pinned to the production setting for
-    // both arms.
-    set_pool_enabled(true);
-    set_fused_linear(true);
-    set_fused_edges(true);
-
     let mut tape = Graph::new();
-    let step = |g: &mut Graph, simd_on: bool| -> f32 {
+    // Arm 0 is scalar, arm 1 simd. One step returns its seconds, loss
+    // bits and lane-counter deltas.
+    let mut step = |simd_on: bool| {
         set_simd_enabled(simd_on);
-        let mut ctx = ForwardCtx::train(17);
-        let (loss, _m) = model.forward_into(g, &batch, &mut ctx);
-        g.backward(loss);
-        g.value(loss).item()
+        let before = simd_stats();
+        let (secs, loss) = timed(|| {
+            let mut ctx = ForwardCtx::train(17);
+            let (loss, _m) = model.forward_into(&mut tape, &batch, &mut ctx);
+            tape.backward(loss);
+            tape.value(loss).item()
+        });
+        (secs, loss.to_bits(), simd_stats().since(&before))
     };
 
-    // Warm both arms (pool populated, lazy inits done), then time them
-    // in alternation so background load perturbs adjacent reps of BOTH
-    // arms instead of biasing one median.
-    step(&mut tape, false);
-    step(&mut tape, true);
-    let mut scalar_times = Vec::with_capacity(reps);
-    let mut simd_times = Vec::with_capacity(reps);
-    let mut scalar_lane = (0u64, 0u64);
-    let mut simd_lane = (0u64, 0u64);
-    let mut bits_match = true;
-    for _ in 0..reps {
-        let s0 = simd_stats();
-        let t0 = Instant::now();
-        let scalar_loss = step(&mut tape, false);
-        scalar_times.push(t0.elapsed().as_secs_f64());
-        let s1 = simd_stats();
-        let d = s1.since(&s0);
-        scalar_lane.0 += d.lane_ops;
-        scalar_lane.1 += d.fallback_hits;
-
-        let t0 = Instant::now();
-        let simd_loss = step(&mut tape, true);
-        simd_times.push(t0.elapsed().as_secs_f64());
-        let d = simd_stats().since(&s1);
-        simd_lane.0 += d.lane_ops;
-        simd_lane.1 += d.fallback_hits;
-
-        // Per-rep bit identity: the lane tier must not move the loss.
-        bits_match &= scalar_loss.to_bits() == simd_loss.to_bits();
-    }
+    // Warm both arms (pool populated, lazy inits done) off the clock.
+    step(false);
+    step(true);
+    let runs = rotate(2, reps, |arm, _| step(arm == 1));
+    // Per-rep bit identity: the lane tier must not move the loss.
+    let bits_match = runs[0].iter().zip(&runs[1]).all(|(a, b)| a.1 == b.1);
     assert!(bits_match, "scalar and SIMD losses must agree bit for bit on every rep");
 
-    let t_scalar = median(scalar_times);
-    let t_simd = median(simd_times);
     let calls = reps as u64;
-    let speedup = t_scalar / t_simd;
+    let arm = |runs: &[(f64, u32, matsciml::tensor::SimdStats)]| {
+        let secs: Vec<f64> = runs.iter().map(|r| r.0).collect();
+        let step_s = ArmStats::of("s/step", &secs);
+        Arm {
+            steps_per_sec: 1.0 / step_s.median,
+            lane_ops_per_step: runs.iter().map(|r| r.2.lane_ops).sum::<u64>() / calls,
+            fallback_hits_per_step: runs.iter().map(|r| r.2.fallback_hits).sum::<u64>() / calls,
+            step_s,
+        }
+    };
+    let (scalar, simd) = (arm(&runs[0]), arm(&runs[1]));
+    let speedup = scalar.step_s.median / simd.step_s.median;
     println!(
         "simd bench (EGNN hidden={hidden}, batch={}): scalar {:.2} ms, simd {:.2} ms, \
          speedup {speedup:.2}x",
         samples.len(),
-        t_scalar * 1e3,
-        t_simd * 1e3,
+        scalar.step_s.median * 1e3,
+        simd.step_s.median * 1e3,
     );
     println!(
         "lane traffic per step: scalar {} lane ops / {} fallbacks, simd {} lane ops / {} fallbacks",
-        scalar_lane.0 / calls,
-        scalar_lane.1 / calls,
-        simd_lane.0 / calls,
-        simd_lane.1 / calls,
+        scalar.lane_ops_per_step,
+        scalar.fallback_hits_per_step,
+        simd.lane_ops_per_step,
+        simd.fallback_hits_per_step,
     );
 
     assert!(
@@ -136,24 +115,15 @@ fn main() {
         "SIMD lane tier must clear 1.3x on the paper-shape EGNN, got {speedup:.2}x"
     );
 
-    let report = Report {
-        hidden,
-        batch: samples.len(),
-        loss_bits_match: bits_match,
-        scalar: Arm {
-            steps_per_sec: 1.0 / t_scalar,
-            lane_ops_per_step: scalar_lane.0 / calls,
-            fallback_hits_per_step: scalar_lane.1 / calls,
+    write_report(
+        "simd",
+        &Report {
+            hidden,
+            batch: samples.len(),
+            loss_bits_match: bits_match,
+            scalar,
+            simd,
+            speedup,
         },
-        simd: Arm {
-            steps_per_sec: 1.0 / t_simd,
-            lane_ops_per_step: simd_lane.0 / calls,
-            fallback_hits_per_step: simd_lane.1 / calls,
-        },
-        speedup,
-    };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simd.json");
-    std::fs::write(path, serde_json::to_string_pretty(&report).unwrap())
-        .expect("write BENCH_simd.json");
-    println!("wrote {path}");
+    );
 }

@@ -17,8 +17,9 @@
 //! throughput ratio isolates the cost of on-demand record decoding.
 //! The report asserts the tentpole gates: streaming peak RSS ≤ 10% of
 //! in-memory, streaming throughput ≥ 0.9× in-memory, and — on a small
-//! corpus, with every engine tier enabled — a 20-step streamed training
-//! trajectory bit-identical to the in-memory run.
+//! corpus, with the SIMD lane tier on — a 20-step streamed training
+//! trajectory bit-identical to the in-memory run. The arms run in
+//! subprocesses, one each, so the report carries no rep quantiles.
 //!
 //! Run with `cargo bench -p matsciml-bench --bench stream`. Emits
 //! `BENCH_stream.json` at the repo root.
@@ -31,9 +32,9 @@ use matsciml::datasets::{
     ShuffleMode, Split, StreamingDataset, SyntheticLips,
 };
 use matsciml::models::EgnnConfig;
-use matsciml::nn::{set_fused_edges, set_fused_linear};
-use matsciml::tensor::{set_pool_enabled, set_simd_enabled};
+use matsciml::tensor::set_simd_enabled;
 use matsciml::train::{TargetKind, TaskHeadConfig, TaskModel, TrainConfig, Trainer};
+use matsciml_bench::harness::write_report;
 use serde::{Deserialize, Serialize};
 
 const CORPUS_SAMPLES: usize = 1_000_000;
@@ -159,12 +160,9 @@ fn run_arm(arm: &str, dir: &PathBuf) -> ArmResult {
     serde_json::from_str(line).expect("arm result JSON")
 }
 
-/// The 20-step bit-identity probe: a small corpus streamed through every
-/// engine tier must reproduce the in-memory trajectory exactly.
+/// The 20-step bit-identity probe: a small corpus streamed with the SIMD
+/// lane tier on must reproduce the in-memory trajectory exactly.
 fn trajectories_match(dir: &PathBuf) -> bool {
-    set_fused_linear(true);
-    set_fused_edges(true);
-    set_pool_enabled(true);
     set_simd_enabled(true);
     let small = SyntheticLips::new(160, SEED);
     write_corpus(&small, dir, CorpusWriteOptions { shard_samples: 40, verify: true, workers: 1 }).unwrap();
@@ -253,22 +251,22 @@ fn main() {
          (gate ≥ 0.90) | bit-identical {bit_identical}"
     );
 
-    let report = Report {
-        corpus_samples: CORPUS_SAMPLES,
-        shard_samples: SHARD_SAMPLES,
-        shards: manifest.shards.len(),
-        corpus_bytes,
-        touched_samples: TOUCH,
-        in_memory,
-        streamed,
-        rss_ratio,
-        throughput_ratio,
-        bit_identical,
-    };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
-    std::fs::write(path, serde_json::to_string_pretty(&report).unwrap()).unwrap();
+    write_report(
+        "stream",
+        &Report {
+            corpus_samples: CORPUS_SAMPLES,
+            shard_samples: SHARD_SAMPLES,
+            shards: manifest.shards.len(),
+            corpus_bytes,
+            touched_samples: TOUCH,
+            in_memory,
+            streamed,
+            rss_ratio,
+            throughput_ratio,
+            bit_identical,
+        },
+    );
     std::fs::remove_dir_all(&base).ok();
-    println!("wrote {path}");
 
     assert!(
         rss_ratio <= 0.10,

@@ -8,6 +8,8 @@
 
 #![warn(missing_docs)]
 
+pub mod harness;
+
 use std::path::{Path, PathBuf};
 
 use matsciml::prelude::*;

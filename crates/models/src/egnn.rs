@@ -17,7 +17,7 @@
 //! updates — the standard stabilization from the reference implementation.
 
 use matsciml_autograd::{Graph, Var};
-use matsciml_nn::{fused_edges, Activation, Embedding, ForwardCtx, Mlp, ParamSet};
+use matsciml_nn::{Activation, Embedding, ForwardCtx, Mlp, ParamSet};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -124,54 +124,21 @@ impl EgnnLayer {
         // output must not depend on what it is batched with.
         let n = input.num_nodes();
 
-        if fused_edges() {
-            // Fused edge pipeline: the same math in one sweep per stage —
-            // rel in one node instead of gather×2+sub, the φ_e input in
-            // one node instead of gather×2+mul+row_sum+concat, and the
-            // coordinate update in one node instead of
-            // mul_col+scatter+mul_col. Bit-identical to the generic
-            // lowering below (asserted by tests/fused_edges.rs).
-            let rel = g.edge_rel(x, input.src.clone(), input.dst.clone());
-            let msg_in = g.edge_concat(h, Some(rel), input.src.clone(), input.dst.clone());
-            let m = self.phi_e.forward(g, ps, msg_in);
-
-            let w_raw = self.phi_x.forward(g, ps, m);
-            let w = g.tanh(w_raw);
-            let agg_x = g.weighted_scatter(
-                rel,
-                w,
-                input.src.clone(),
-                n,
-                Some(input.inv_degree.clone()),
-            );
-            let x_new = g.add(x, agg_x);
-
-            let agg_m = g.scatter_add_rows(m, input.src.clone(), n);
-            let upd_in = g.concat_cols(&[h, agg_m]);
-            let dh = self.phi_h.forward(g, ps, upd_in);
-            let h_new = g.add(h, dh);
-            return (h_new, x_new);
-        }
-
-        let hi = g.gather_rows(h, input.src.clone());
-        let hj = g.gather_rows(h, input.dst.clone());
-        let xi = g.gather_rows(x, input.src.clone());
-        let xj = g.gather_rows(x, input.dst.clone());
-        let rel = g.sub(xi, xj);
-        let relsq = g.mul(rel, rel);
-        let d2 = g.row_sum(relsq);
-
+        // Each edge stage is one fused tape node: `rel` (gather×2 + sub),
+        // the φ_e input h_i ‖ h_j ‖ d² (gather×2 + mul + row_sum +
+        // concat), and the coordinate update (mul_col + scatter +
+        // mul_col). The tests below pin them bit for bit to that generic
+        // composition.
+        let rel = g.edge_rel(x, input.src.clone(), input.dst.clone());
         // m_ij = φ_e(h_i ‖ h_j ‖ d²)
-        let msg_in = g.concat_cols(&[hi, hj, d2]);
+        let msg_in = g.edge_concat(h, Some(rel), input.src.clone(), input.dst.clone());
         let m = self.phi_e.forward(g, ps, msg_in);
 
         // x_i' = x_i + C Σ_j (x_i − x_j) tanh(φ_x(m_ij))
         let w_raw = self.phi_x.forward(g, ps, m);
         let w = g.tanh(w_raw);
-        let moved = g.mul_col(rel, w);
-        let agg_x = g.scatter_add_rows(moved, input.src.clone(), n);
-        let inv_deg = g.input(input.inv_degree.clone());
-        let agg_x = g.mul_col(agg_x, inv_deg);
+        let inv_degree = Some(input.inv_degree.clone());
+        let agg_x = g.weighted_scatter(rel, w, input.src.clone(), n, inv_degree);
         let x_new = g.add(x, agg_x);
 
         // h_i' = h_i + φ_h(h_i ‖ Σ_j m_ij)
@@ -179,7 +146,6 @@ impl EgnnLayer {
         let upd_in = g.concat_cols(&[h, agg_m]);
         let dh = self.phi_h.forward(g, ps, upd_in);
         let h_new = g.add(h, dh);
-
         (h_new, x_new)
     }
 }
@@ -269,7 +235,7 @@ impl Encoder for EgnnEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matsciml_graph::{radius_graph, BatchedGraph};
+    use matsciml_graph::{radius_graph, BatchedGraph, MaterialGraph};
     use matsciml_tensor::Vec3;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -381,24 +347,18 @@ mod tests {
             g.value(emb).as_slice().iter().map(|v| v.to_bits()).collect()
         };
 
-        // Both lowerings: the generic composition, then the fused default
-        // (left on afterwards). The two are bit-exact, so flipping the
-        // process-wide switch cannot change another test's results.
-        for fused in [false, true] {
-            matsciml_nn::set_fused_edges(fused);
-            let alone = embed(std::slice::from_ref(&edge_free));
-            let batched = embed(&[edge_free.clone(), connected.clone()]);
-            assert_eq!(alone, batched[..alone.len()], "fused = {fused}");
-            // The node update ran: the readout is not the raw embedding sum.
-            let table = ps.value(enc.embedding.table);
-            let raw: Vec<u32> = table
-                .row(2)
-                .iter()
-                .zip(table.row(3))
-                .map(|(a, b)| (a + b).to_bits())
-                .collect();
-            assert_ne!(alone, raw, "fused = {fused}");
-        }
+        let alone = embed(std::slice::from_ref(&edge_free));
+        let batched = embed(&[edge_free.clone(), connected]);
+        assert_eq!(alone, batched[..alone.len()]);
+        // The node update ran: the readout is not the raw embedding sum.
+        let table = ps.value(enc.embedding.table);
+        let raw: Vec<u32> = table
+            .row(2)
+            .iter()
+            .zip(table.row(3))
+            .map(|(a, b)| (a + b).to_bits())
+            .collect();
+        assert_ne!(alone, raw);
     }
 
     #[test]
@@ -414,5 +374,155 @@ mod tests {
         let e1 = shallow.encode(&mut g, &ps1, &mut ctx, &input);
         assert!(g.value(e1).all_finite());
         assert_eq!(shallow.layers.len(), 1);
+    }
+
+    /// The generic gather/sub/mul/concat/scatter composition that the
+    /// fused edge ops in [`EgnnLayer::forward`] replace, built from the
+    /// kept autograd ops.
+    fn generic_forward(
+        layer: &EgnnLayer,
+        g: &mut Graph,
+        ps: &ParamSet,
+        input: &ModelInput,
+        h: Var,
+        x: Var,
+    ) -> (Var, Var) {
+        let n = input.num_nodes();
+        let hi = g.gather_rows(h, input.src.clone());
+        let hj = g.gather_rows(h, input.dst.clone());
+        let xi = g.gather_rows(x, input.src.clone());
+        let xj = g.gather_rows(x, input.dst.clone());
+        let rel = g.sub(xi, xj);
+        let relsq = g.mul(rel, rel);
+        let d2 = g.row_sum(relsq);
+        let msg_in = g.concat_cols(&[hi, hj, d2]);
+        let m = layer.phi_e.forward(g, ps, msg_in);
+
+        let w_raw = layer.phi_x.forward(g, ps, m);
+        let w = g.tanh(w_raw);
+        let moved = g.mul_col(rel, w);
+        let agg_x = g.scatter_add_rows(moved, input.src.clone(), n);
+        let inv_deg = g.input(input.inv_degree.clone());
+        let agg_x = g.mul_col(agg_x, inv_deg);
+        let x_new = g.add(x, agg_x);
+
+        let agg_m = g.scatter_add_rows(m, input.src.clone(), n);
+        let upd_in = g.concat_cols(&[h, agg_m]);
+        let dh = layer.phi_h.forward(g, ps, upd_in);
+        (g.add(h, dh), x_new)
+    }
+
+    /// What one lowering produced: forward tape length, graph-embedding
+    /// bits, final-coordinate bits and every parameter gradient's bits.
+    type Lowered = (usize, Vec<u32>, Vec<u32>, Vec<(usize, Vec<u32>)>);
+
+    /// Forward + backward of `Σ embedding + Σ x'` through the encoder with
+    /// the fused or the generic edge lowering.
+    fn lowered(enc: &EgnnEncoder, ps: &ParamSet, input: &ModelInput, fused: bool) -> Lowered {
+        let bits = |t: &matsciml_tensor::Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect();
+        let mut g = Graph::new();
+        let mut h = enc.embedding.forward(&mut g, ps, input.species.clone());
+        let mut x = g.input(input.coords.clone());
+        for layer in &enc.layers {
+            (h, x) = if fused {
+                layer.forward(&mut g, ps, input, h, x)
+            } else {
+                generic_forward(layer, &mut g, ps, input, h, x)
+            };
+        }
+        let emb = g.segment_sum(h, input.graph_ids.clone(), input.num_graphs);
+        let len = g.len();
+        let emb_sum = g.sum_all(emb);
+        let x_sum = g.sum_all(x);
+        let loss = g.add(emb_sum, x_sum);
+        g.backward(loss);
+        let grads = g.param_grads().map(|(id, t)| (id, bits(t))).collect();
+        (len, bits(g.value(emb)), bits(g.value(x)), grads)
+    }
+
+    /// The fused lowering reproduces the generic one bit for bit and
+    /// records a shorter tape; returns the two tape lengths.
+    fn assert_lowerings_bit_identical(input: &ModelInput, seed: u64) -> (usize, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ps = ParamSet::new();
+        let enc = EgnnEncoder::new(&mut ps, EgnnConfig::small(12), &mut rng);
+        let (fused_len, fused_emb, fused_x, fused_grads) = lowered(&enc, &ps, input, true);
+        let (generic_len, emb, x, grads) = lowered(&enc, &ps, input, false);
+        assert_eq!(fused_emb, emb, "embedding bits diverged");
+        assert_eq!(fused_x, x, "coordinate bits diverged");
+        assert_eq!(fused_grads.len(), grads.len(), "gradient population diverged");
+        for ((id, f), (gid, b)) in fused_grads.iter().zip(&grads) {
+            assert_eq!(id, gid, "gradient population diverged");
+            assert_eq!(f, b, "param {id} gradient bits diverged");
+        }
+        assert!(fused_len < generic_len, "fused tape {fused_len} vs generic {generic_len}");
+        (fused_len, generic_len)
+    }
+
+    /// A helix point cloud with varied inter-atom distances.
+    fn cloud(n: usize) -> (Vec<u32>, Vec<Vec3>) {
+        let species = (0..n as u32).map(|i| i % 5).collect();
+        let pts = (0..n)
+            .map(|i| {
+                let t = i as f32 * 1.3;
+                Vec3::new(t.cos() * 1.2, t.sin() * 1.2, i as f32 * 0.4)
+            })
+            .collect();
+        (species, pts)
+    }
+
+    fn batch(graphs: &[MaterialGraph]) -> ModelInput {
+        ModelInput::from_batched(&BatchedGraph::from_graphs(graphs))
+    }
+
+    #[test]
+    fn fused_matches_generic_on_odd_edge_count() {
+        // Hand-built graph with an odd number of directed edges (7).
+        let (species, pts) = cloud(5);
+        let mut graph = MaterialGraph::new(species, pts);
+        for (a, b) in [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4), (4, 0)] {
+            graph.add_edge(a, b);
+        }
+        let input = batch(&[graph]);
+        assert_eq!(input.num_edges() % 2, 1, "edge count must be odd");
+        assert_lowerings_bit_identical(&input, 21);
+    }
+
+    #[test]
+    fn fused_matches_generic_on_zero_edge_graph() {
+        // Atoms far beyond any cutoff: no edges, only node updates.
+        let pts = vec![Vec3::zero(), Vec3::new(50.0, 0.0, 0.0), Vec3::new(0.0, 50.0, 0.0)];
+        let input = batch(&[radius_graph(vec![1, 2, 3], pts, 2.5, None)]);
+        assert_eq!(input.num_edges(), 0);
+        assert_lowerings_bit_identical(&input, 22);
+    }
+
+    #[test]
+    fn fused_matches_generic_on_capped_neighbor_graph() {
+        let (species, pts) = cloud(12);
+        let input = batch(&[radius_graph(species, pts, 4.0, Some(3))]);
+        assert!(input.num_edges() > 0);
+        assert_lowerings_bit_identical(&input, 23);
+    }
+
+    #[test]
+    fn fused_matches_generic_on_multi_graph_batch() {
+        // A connected graph batched with an isolated atom, so the fused
+        // scatter sees rows with zero contributors.
+        let (species, pts) = cloud(6);
+        let connected = radius_graph(species, pts, 2.5, None);
+        let isolated = MaterialGraph::new(vec![4], vec![Vec3::zero()]);
+        assert_lowerings_bit_identical(&batch(&[connected, isolated]), 24);
+    }
+
+    #[test]
+    fn fused_tape_is_at_least_nine_nodes_per_layer_shorter() {
+        let (species, pts) = cloud(10);
+        let input = batch(&[radius_graph(species, pts, 3.5, None)]);
+        let (fused, generic) = assert_lowerings_bit_identical(&input, 26);
+        assert!(
+            fused + 9 * 3 <= generic,
+            "fused tape {fused} vs generic {generic}: expected ≥ 9 fewer nodes per layer"
+        );
     }
 }

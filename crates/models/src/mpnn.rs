@@ -7,7 +7,7 @@
 //! equivariant vs plain encoder at a fixed parameter budget.
 
 use matsciml_autograd::{Graph, Var};
-use matsciml_nn::{fused_edges, Activation, Embedding, ForwardCtx, Linear, Mlp, ParamSet};
+use matsciml_nn::{Activation, Embedding, ForwardCtx, Linear, Mlp, ParamSet};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -112,15 +112,9 @@ impl Encoder for MpnnEncoder {
             if input.num_edges() == 0 {
                 break;
             }
-            // Fused: one tape node assembling [h_i ‖ h_j] per edge,
-            // bit-identical to the gather×2+concat composition.
-            let msg_in = if fused_edges() {
-                g.edge_concat(h, None, input.src.clone(), input.dst.clone())
-            } else {
-                let hi = g.gather_rows(h, input.src.clone());
-                let hj = g.gather_rows(h, input.dst.clone());
-                g.concat_cols(&[hi, hj])
-            };
+            // One tape node assembling [h_i ‖ h_j] per edge, bit-identical
+            // to the gather×2+concat composition (pinned by the tests below).
+            let msg_in = g.edge_concat(h, None, input.src.clone(), input.dst.clone());
             let m = layer.phi.forward(g, ps, msg_in);
             let agg = g.scatter_add_rows(m, input.src.clone(), n);
             let upd_in = g.concat_cols(&[h, agg]);
@@ -192,5 +186,66 @@ mod tests {
             .map(|(x, y)| (x - y).abs())
             .sum();
         assert!(diff > 1e-3, "baseline should NOT be rotation invariant (diff {diff})");
+    }
+
+    /// [`MpnnEncoder::encode`] with each fused `edge_concat` replaced by the
+    /// generic gather×2 + concat composition it lowers.
+    fn generic_encode(enc: &MpnnEncoder, g: &mut Graph, ps: &ParamSet, input: &ModelInput) -> Var {
+        let n = input.num_nodes();
+        let species = enc.embedding.forward(g, ps, input.species.clone());
+        let coords = g.input(input.coords.clone());
+        let pos_feat = enc.coord_proj.forward(g, ps, coords);
+        let mut h = g.add(species, pos_feat);
+        for layer in &enc.layers {
+            let hi = g.gather_rows(h, input.src.clone());
+            let hj = g.gather_rows(h, input.dst.clone());
+            let msg_in = g.concat_cols(&[hi, hj]);
+            let m = layer.phi.forward(g, ps, msg_in);
+            let agg = g.scatter_add_rows(m, input.src.clone(), n);
+            let upd_in = g.concat_cols(&[h, agg]);
+            let dh = layer.psi.forward(g, ps, upd_in);
+            h = g.add(h, dh);
+        }
+        g.segment_sum(h, input.graph_ids.clone(), input.num_graphs)
+    }
+
+    #[test]
+    fn fused_edge_concat_matches_generic_composition() {
+        // A capped-neighbour helix: every node keeps at most 4 edges.
+        let species: Vec<u32> = (0..9).map(|i| i % 5).collect();
+        let pts = (0..9)
+            .map(|i| {
+                let t = i as f32 * 1.3;
+                Vec3::new(t.cos() * 1.2, t.sin() * 1.2, i as f32 * 0.4)
+            })
+            .collect();
+        let graph = radius_graph(species, pts, 3.0, Some(4));
+        let input = ModelInput::from_batched(&BatchedGraph::from_graphs(&[graph]));
+        assert!(input.num_edges() > 0);
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut ps = ParamSet::new();
+        let enc = MpnnEncoder::new(&mut ps, MpnnConfig::small(10), &mut rng);
+
+        let bits = |t: &matsciml_tensor::Tensor| -> Vec<u32> {
+            t.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        let run = |fused: bool| {
+            let mut g = Graph::new();
+            let emb = if fused {
+                enc.encode(&mut g, &ps, &mut ForwardCtx::eval(), &input)
+            } else {
+                generic_encode(&enc, &mut g, &ps, &input)
+            };
+            let len = g.len();
+            let loss = g.sum_all(emb);
+            g.backward(loss);
+            let grads: Vec<_> = g.param_grads().map(|(id, t)| (id, bits(t))).collect();
+            (len, bits(g.value(emb)), grads)
+        };
+        let (fused_len, fused_emb, fused_grads) = run(true);
+        let (generic_len, emb, grads) = run(false);
+        assert_eq!(fused_emb, emb, "embedding bits diverged");
+        assert_eq!(fused_grads, grads, "parameter gradient bits diverged");
+        assert!(fused_len < generic_len, "fused tape {fused_len} vs generic {generic_len}");
     }
 }

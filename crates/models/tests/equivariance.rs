@@ -1,25 +1,15 @@
 //! Property-based verification of the E(n)-GNN's defining symmetry
 //! guarantees: graph embeddings are invariant — and per-layer coordinate
 //! updates equivariant — under E(3) (rotations, translations, reflections).
-//!
-//! The suite runs under the process default edge lowering (fused, see
-//! [`matsciml_nn::set_fused_edges`]); the final proptest additionally pins
-//! the toggle to each state in turn so both lowerings carry the symmetry
-//! proofs even if the default ever changes.
-
-use std::sync::Mutex;
 
 use matsciml_autograd::Graph;
 use matsciml_graph::{radius_graph, BatchedGraph};
 use matsciml_models::{EgnnConfig, EgnnEncoder, Encoder, ModelInput};
-use matsciml_nn::{set_fused_edges, ForwardCtx, ParamSet};
+use matsciml_nn::{ForwardCtx, ParamSet};
 use matsciml_tensor::{Mat3, Tensor, Vec3};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Serializes tests that flip the process-wide fused-edges toggle.
-static TOGGLE: Mutex<()> = Mutex::new(());
 
 fn build_encoder(seed: u64) -> (ParamSet, EgnnEncoder) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -168,44 +158,26 @@ proptest! {
     }
 
     #[test]
-    fn symmetry_holds_for_both_edge_lowerings(pts in stable_cloud(), rot in arb_rotation()) {
-        // Rotation invariance of the embedding AND equivariance of the
-        // coordinate stream, re-proved with the fused edge pipeline
-        // explicitly off and explicitly on.
-        let _guard = TOGGLE.lock().unwrap();
+    fn rotation_keeps_embedding_invariant_and_coordinates_equivariant(
+        pts in stable_cloud(),
+        rot in arb_rotation(),
+    ) {
+        // Both symmetry proofs on one mixed-species cloud.
         let (ps, enc) = build_encoder(13);
         let species: Vec<u32> = (0..pts.len() as u32).map(|i| i % 4).collect();
         let rotated: Vec<Vec3> = pts.iter().map(|p| rot.apply(*p)).collect();
-        let mut result = Ok(());
-        for fused in [false, true] {
-            set_fused_edges(fused);
-            let base = graph_embedding(&enc, &ps, &input_from(species.clone(), pts.clone()));
-            let out = graph_embedding(&enc, &ps, &input_from(species.clone(), rotated.clone()));
-            if max_abs_diff(&base, &out) >= 1e-3 * (1.0 + base.norm()) {
-                result = Err(TestCaseError::fail(format!(
-                    "fused={fused}: rotation changed embedding by {}",
-                    max_abs_diff(&base, &out)
-                )));
-                break;
-            }
-            let out_then = final_coords(&enc, &ps, &input_from(species.clone(), pts.clone()));
-            let n = out_then.rows();
-            let rotated_out = Tensor::from_fn(&[n, 3], |idx| {
-                let (r, c) = (idx / 3, idx % 3);
-                let p = Vec3::new(out_then.at2(r, 0), out_then.at2(r, 1), out_then.at2(r, 2));
-                rot.apply(p).to_array()[c]
-            });
-            let out_rotated = final_coords(&enc, &ps, &input_from(species.clone(), rotated.clone()));
-            if max_abs_diff(&rotated_out, &out_rotated) >= 2e-3 {
-                result = Err(TestCaseError::fail(format!(
-                    "fused={fused}: coordinate stream not equivariant: {}",
-                    max_abs_diff(&rotated_out, &out_rotated)
-                )));
-                break;
-            }
-        }
-        set_fused_edges(true);
-        result?;
+        let base = graph_embedding(&enc, &ps, &input_from(species.clone(), pts.clone()));
+        let out = graph_embedding(&enc, &ps, &input_from(species.clone(), rotated.clone()));
+        prop_assert!(max_abs_diff(&base, &out) < 1e-3 * (1.0 + base.norm()));
+        let out_then = final_coords(&enc, &ps, &input_from(species.clone(), pts));
+        let n = out_then.rows();
+        let rotated_out = Tensor::from_fn(&[n, 3], |idx| {
+            let (r, c) = (idx / 3, idx % 3);
+            let p = Vec3::new(out_then.at2(r, 0), out_then.at2(r, 1), out_then.at2(r, 2));
+            rot.apply(p).to_array()[c]
+        });
+        let out_rotated = final_coords(&enc, &ps, &input_from(species, rotated));
+        prop_assert!(max_abs_diff(&rotated_out, &out_rotated) < 2e-3);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Primitive layers: [`Linear`], [`RmsNorm`], activations, and the
 //! per-forward context.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use matsciml_autograd::{Graph, Var};
 use matsciml_tensor::{Act, Tensor};
 use rand::rngs::StdRng;
@@ -10,41 +8,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::params::{ParamId, ParamSet};
-
-/// Process-wide switch for fused dense emission (default on). When set,
-/// [`Linear::forward_act`] records one fused `Linear` tape node instead of
-/// the `Matmul → AddRow → activation` triple. The two paths are bit-exact;
-/// the switch exists so regression tests and benchmarks can pin the seed
-/// (unfused) path.
-static FUSED_LINEAR: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable fused dense emission process-wide.
-pub fn set_fused_linear(enabled: bool) {
-    FUSED_LINEAR.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether [`Linear::forward_act`] currently emits fused tape nodes.
-pub fn fused_linear() -> bool {
-    FUSED_LINEAR.load(Ordering::Relaxed)
-}
-
-/// Process-wide switch for the fused edge pipeline (default on). When
-/// set, the message-passing encoders lower edge assembly and aggregation
-/// onto the fused `edge_rel` / `edge_concat` / `weighted_scatter` tape
-/// ops instead of the generic gather/sub/mul/concat/scatter composition.
-/// The two paths are bit-exact; the switch exists so regression tests and
-/// benchmarks can pin the generic (seed) path.
-static FUSED_EDGES: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the fused edge pipeline process-wide.
-pub fn set_fused_edges(enabled: bool) {
-    FUSED_EDGES.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether message-passing encoders currently emit fused edge tape nodes.
-pub fn fused_edges() -> bool {
-    FUSED_EDGES.load(Ordering::Relaxed)
-}
 
 /// Per-forward-pass context: training/eval mode and the RNG that feeds
 /// stochastic layers (dropout). One per rank per step; seeding it from
@@ -93,18 +56,6 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Apply the activation on the tape.
-    pub fn apply(self, g: &mut Graph, x: Var) -> Var {
-        match self {
-            Activation::Silu => g.silu(x),
-            Activation::Selu => g.selu(x),
-            Activation::Relu => g.relu(x),
-            Activation::Tanh => g.tanh(x),
-            Activation::Sigmoid => g.sigmoid(x),
-            Activation::Identity => x,
-        }
-    }
-
     /// The scalar kernel used when this activation runs inside a fused
     /// dense layer.
     pub fn kernel(self) -> Act {
@@ -173,25 +124,12 @@ impl Linear {
         self.forward_act(g, ps, x, Activation::Identity)
     }
 
-    /// `act(x W + b)` as one fused tape node when
-    /// [fused emission](fused_linear) is on, or as the equivalent
-    /// `Matmul → AddRow → activation` triple when it is off. The two
-    /// emissions are bit-identical in values and gradients.
+    /// `act(x W + b)` as one fused `Linear` tape node: the matmul, bias
+    /// row and activation in one sweep.
     pub fn forward_act(&self, g: &mut Graph, ps: &ParamSet, x: Var, act: Activation) -> Var {
         let w = ps.leaf(g, self.w);
-        if fused_linear() {
-            let bias = self.b.map(|b| ps.leaf(g, b));
-            return g.linear(x, w, bias, act.kernel());
-        }
-        let y = g.matmul(x, w);
-        let y = match self.b {
-            Some(b) => {
-                let bias = ps.leaf(g, b);
-                g.add_row(y, bias)
-            }
-            None => y,
-        };
-        act.apply(g, y)
+        let bias = self.b.map(|b| ps.leaf(g, b));
+        g.linear(x, w, bias, act.kernel())
     }
 }
 
@@ -319,22 +257,16 @@ mod tests {
 
     #[test]
     fn activations_match_reference_points() {
-        let mut g = Graph::new();
-        let x = g.input(Tensor::from_vec(&[3], vec![-1.0, 0.0, 1.0]).unwrap());
-        let silu = Activation::Silu.apply(&mut g, x);
-        let v = g.value(silu);
-        assert!((v.at(0) + 0.26894).abs() < 1e-4);
-        assert_eq!(v.at(1), 0.0);
-        assert!((v.at(2) - 0.73106).abs() < 1e-4);
+        let at = |act: Activation, x: f32| act.kernel().eval(x);
+        assert!((at(Activation::Silu, -1.0) + 0.26894).abs() < 1e-4);
+        assert_eq!(at(Activation::Silu, 0.0), 0.0);
+        assert!((at(Activation::Silu, 1.0) - 0.73106).abs() < 1e-4);
 
-        let selu = Activation::Selu.apply(&mut g, x);
-        let v = g.value(selu);
         // SELU(1) = 1.0507, SELU(-1) = 1.0507*1.6733*(e^-1 - 1) = -1.1113
-        assert!((v.at(2) - 1.0507).abs() < 1e-3);
-        assert!((v.at(0) + 1.1113).abs() < 1e-3);
+        assert!((at(Activation::Selu, 1.0) - 1.0507).abs() < 1e-3);
+        assert!((at(Activation::Selu, -1.0) + 1.1113).abs() < 1e-3);
 
-        let ident = Activation::Identity.apply(&mut g, x);
-        assert_eq!(ident, x, "identity must not add a node");
+        assert_eq!(at(Activation::Identity, -1.0), -1.0);
     }
 
     #[test]

@@ -18,9 +18,6 @@ mod params;
 
 pub use bucket::{BucketLayout, GradBucket, PartitionedLayout};
 pub use embedding::Embedding;
-pub use layers::{
-    fused_edges, fused_linear, set_fused_edges, set_fused_linear, Activation, BatchNorm,
-    ForwardCtx, Linear, NormKind, RmsNorm,
-};
+pub use layers::{Activation, BatchNorm, ForwardCtx, Linear, NormKind, RmsNorm};
 pub use mlp::{Mlp, OutputHead, ResidualBlock};
 pub use params::{ParamId, ParamSet};

@@ -52,8 +52,7 @@ impl Mlp {
     }
 
     /// Forward through all layers. Each `Linear → activation` pair is
-    /// emitted as one fused dense node (see [`Linear::forward_act`]), so a
-    /// φ-MLP's tape is one node per layer instead of three.
+    /// emitted as one fused dense node (see [`Linear::forward_act`]).
     pub fn forward(&self, g: &mut Graph, ps: &ParamSet, x: Var) -> Var {
         let last = self.layers.len() - 1;
         let mut h = x;
@@ -261,33 +260,65 @@ mod tests {
         assert!(g.value(y).min() < -0.3 || g.value(y).max() > 0.3);
     }
 
+    /// The `Matmul → AddRow → activation` composition a fused dense node
+    /// replaces, built from the generic tape ops.
+    fn generic_forward(mlp: &Mlp, g: &mut Graph, ps: &ParamSet, x: Var) -> Var {
+        let last = mlp.layers.len() - 1;
+        let mut h = x;
+        for (i, layer) in mlp.layers.iter().enumerate() {
+            let w = ps.leaf(g, layer.w);
+            h = g.matmul(h, w);
+            if let Some(b) = layer.b {
+                let bias = ps.leaf(g, b);
+                h = g.add_row(h, bias);
+            }
+            if i < last || mlp.activate_last {
+                h = match mlp.activation {
+                    Activation::Silu => g.silu(h),
+                    Activation::Selu => g.selu(h),
+                    Activation::Relu => g.relu(h),
+                    Activation::Tanh => g.tanh(h),
+                    Activation::Sigmoid => g.sigmoid(h),
+                    Activation::Identity => h,
+                };
+            }
+        }
+        h
+    }
+
     #[test]
-    fn fused_emission_shrinks_tape_and_matches_unfused() {
+    fn fused_emission_shrinks_tape_and_matches_generic_composition() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut ps = ParamSet::new();
-        let mlp = Mlp::new(&mut ps, "m", &[6, 16, 16, 3], Activation::Silu, false, &mut rng);
         let input = Tensor::randn(&[10, 6], 0.0, 1.0, &mut rng);
-
-        let run = |ps: &ParamSet| {
-            let mut g = Graph::new();
-            let x = g.input(input.clone());
-            let y = mlp.forward(&mut g, ps, x);
-            (g.len(), g.value(y).clone())
-        };
-
-        assert!(crate::layers::fused_linear(), "fused emission is the default");
-        let (fused_len, fused_out) = run(&ps);
-        crate::layers::set_fused_linear(false);
-        let (plain_len, plain_out) = run(&ps);
-        crate::layers::set_fused_linear(true);
-
-        // 3 fused layers + input + 6 param leaves vs matmul/add_row/act
-        // triples (last layer has no activation).
-        assert!(
-            fused_len + 5 <= plain_len,
-            "fused tape ({fused_len}) should be well short of unfused ({plain_len})"
-        );
-        assert_eq!(fused_out, plain_out, "the two emissions must agree bit for bit");
+        for (activation, activate_last) in [(Activation::Silu, false), (Activation::Selu, true)] {
+            let mut ps = ParamSet::new();
+            let mlp = Mlp::new(&mut ps, "m", &[6, 16, 16, 3], activation, activate_last, &mut rng);
+            let run = |fused: bool| {
+                let mut g = Graph::new();
+                let x = g.input(input.clone());
+                let y = if fused {
+                    mlp.forward(&mut g, &ps, x)
+                } else {
+                    generic_forward(&mlp, &mut g, &ps, x)
+                };
+                let loss = g.sum_all(y);
+                let len = g.len();
+                g.backward(loss);
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let grads: Vec<_> = g.param_grads().map(|(id, t)| (id, bits(t))).collect();
+                (len, bits(g.value(y)), grads)
+            };
+            let (fused_len, fused_out, fused_grads) = run(true);
+            let (plain_len, plain_out, plain_grads) = run(false);
+            // 3 fused layers vs matmul/add_row/act triples.
+            assert!(
+                fused_len + 5 <= plain_len,
+                "fused tape ({fused_len}) should be well short of generic ({plain_len})"
+            );
+            assert_eq!(fused_out, plain_out, "{activation:?}: outputs must agree bit for bit");
+            assert_eq!(fused_grads, plain_grads, "{activation:?}: gradients must agree bitwise");
+        }
     }
 
     #[test]

@@ -103,8 +103,7 @@ const PREC_UNSET: u8 = 255;
 
 /// Tri-state-plus: the first query consults `MATSCIML_INFER_PRECISION`
 /// exactly once without a lock, after which the mode behaves like the
-/// other process-wide kernel toggles (`set_simd_enabled`,
-/// `set_fused_linear`).
+/// SIMD tier toggle (`set_simd_enabled`).
 static PRECISION: AtomicU8 = AtomicU8::new(PREC_UNSET);
 
 /// Select the inference storage precision process-wide.

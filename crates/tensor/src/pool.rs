@@ -23,13 +23,9 @@
 //!   (length-0) buffer; callers fill it. [`Tensor::zeros`](crate::Tensor::zeros)
 //!   therefore always writes its zeros — results cannot depend on what a
 //!   recycled buffer previously held.
-//!
-//! The pool can be disabled globally ([`set_pool_enabled`]) to reproduce
-//! the pre-pool allocation behavior, which the `fwdbwd` bench uses for
-//! its seed arm.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// One freelist per power-of-two size class; class `c` holds buffers with
 /// `2^c <= capacity < 2^(c+1)`.
@@ -44,7 +40,6 @@ const MAX_PER_CLASS: usize = 256;
 /// reuse.
 const MAX_POOLED_ELEMS: usize = 1 << 24;
 
-static POOL_ENABLED: AtomicBool = AtomicBool::new(true);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static BYTES_RECYCLED: AtomicU64 = AtomicU64::new(0);
@@ -109,19 +104,6 @@ pub fn reset_pool_stats() {
     BYTES_FRESH.store(0, Relaxed);
 }
 
-/// Globally enable or disable buffer recycling. While disabled, `take`
-/// always allocates fresh and dropped buffers go straight back to the
-/// allocator (the pre-pool behavior). Existing retained buffers stay
-/// retained and resume serving once re-enabled.
-pub fn set_pool_enabled(enabled: bool) {
-    POOL_ENABLED.store(enabled, Relaxed);
-}
-
-/// Whether buffer recycling is currently enabled.
-pub fn pool_enabled() -> bool {
-    POOL_ENABLED.load(Relaxed)
-}
-
 /// Bytes currently retained by this thread's freelists.
 pub fn pool_retained_bytes() -> usize {
     FREELISTS
@@ -161,7 +143,7 @@ pub(crate) fn take(len: usize) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
     }
-    if len <= MAX_POOLED_ELEMS && POOL_ENABLED.load(Relaxed) {
+    if len <= MAX_POOLED_ELEMS {
         let class = class_of_len(len);
         let recycled = FREELISTS
             .try_with(|f| f.borrow_mut()[class].pop())
@@ -182,11 +164,10 @@ pub(crate) fn take(len: usize) -> Vec<f32> {
 }
 
 /// Return a buffer to the current thread's freelist (dropped instead when
-/// the pool is disabled, the buffer is empty/oversized, or the class is
-/// full).
+/// the buffer is empty/oversized or the class is full).
 pub(crate) fn give(v: Vec<f32>) {
     let cap = v.capacity();
-    if cap == 0 || cap > MAX_POOLED_ELEMS || !POOL_ENABLED.load(Relaxed) {
+    if cap == 0 || cap > MAX_POOLED_ELEMS {
         return;
     }
     let class = class_of_cap(cap);

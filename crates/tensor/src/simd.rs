@@ -62,10 +62,10 @@
 //! their scalar spellings.
 //!
 //! The tier is process-togglable ([`set_simd_enabled`], or
-//! `MATSCIML_SIMD=0` in the environment before first use) mirroring
-//! `set_fused_linear` / `set_fused_edges`, and observable: [`simd_stats`]
-//! counts lane-group ops on the SIMD path and fallback hits on the
-//! scalar path, surfaced as `simd/*` run-record counters by the trainer.
+//! `MATSCIML_SIMD=0` in the environment before first use) and
+//! observable: [`simd_stats`] counts lane-group ops on the SIMD path and
+//! fallback hits on the scalar path, surfaced as `simd/*` run-record
+//! counters by the trainer.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -78,8 +78,7 @@ const MODE_ON: u8 = 1;
 const MODE_UNSET: u8 = 2;
 
 /// Tri-state so the first query can consult `MATSCIML_SIMD` exactly once
-/// without a lock; after that the mode behaves like the other kernel
-/// toggles (`set_fused_linear`, `set_pool_enabled`).
+/// without a lock; after that the mode is a plain relaxed atomic flag.
 static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
 
 /// Enable or disable the SIMD lane tier process-wide.

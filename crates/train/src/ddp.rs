@@ -588,8 +588,8 @@ pub fn ddp_step(
         obs.count(TAPE_NODES, tapes.tape_nodes() as u64);
         obs.observe("pool/hit_rate", delta.hit_rate());
         // Fused edge-kernel traffic this step (also process-global deltas):
-        // zero with `set_fused_edges(false)`, and bytes_saved measures the
-        // gather/sub/mul intermediates the fused lowering never built.
+        // bytes_saved measures the gather/sub/mul intermediates the fused
+        // lowering never built.
         let edge = edge_stats().since(&edge_before.expect("snapshot taken when enabled"));
         obs.count(EDGE_FUSED_CALLS, edge.fused_calls);
         obs.count(EDGE_BYTES_SAVED, edge.bytes_saved);

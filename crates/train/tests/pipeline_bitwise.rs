@@ -6,15 +6,14 @@
 //!
 //! The matrix covers {raw corpus, precomputed-edge corpus} × {graph
 //! cache on, off} × read-ahead threads {1, 4} over a ≥3-epoch run with
-//! every engine tier enabled (fused linear, fused edges, buffer pool,
-//! SIMD lanes) plus overlapped communication, comparing per-step
+//! SIMD lanes and overlapped communication on, comparing per-step
 //! loss/grad-norm/lr/val bitwise and the final parameters bitwise. It
 //! also proves the cache and the precomputed path actually engage: a
 //! cache-on raw-corpus run records hits from the second epoch onward,
 //! and a precomputed-corpus run produces *zero* cache traffic (the
 //! transform never runs).
 //!
-//! One `#[test]` on purpose: the tier toggles and the graph cache are
+//! One `#[test]` on purpose: the SIMD toggle and the graph cache are
 //! process-global, so the arms must run serially.
 
 use std::path::PathBuf;
@@ -25,8 +24,7 @@ use matsciml_datasets::{
 };
 use matsciml_graph::{graph_cache_stats, reset_graph_cache, set_graph_cache};
 use matsciml_models::EgnnConfig;
-use matsciml_nn::{set_fused_edges, set_fused_linear};
-use matsciml_tensor::{set_pool_enabled, set_simd_enabled};
+use matsciml_tensor::set_simd_enabled;
 use matsciml_train::{TargetKind, TaskHeadConfig, TaskModel, TrainConfig, TrainLog, Trainer};
 
 const SAMPLES: usize = 40;
@@ -106,9 +104,6 @@ fn assert_same_trajectory(a: &(TrainLog, TaskModel), b: &(TrainLog, TaskModel), 
 
 #[test]
 fn pipeline_arms_match_all_recompute_baseline_bitwise() {
-    set_fused_linear(true);
-    set_fused_edges(true);
-    set_pool_enabled(true);
     set_simd_enabled(true);
 
     // All-recompute baseline: in-memory dataset, synchronous loads, graph

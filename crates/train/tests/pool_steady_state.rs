@@ -14,8 +14,6 @@ use matsciml_tensor::pool_stats;
 
 #[test]
 fn steady_state_steps_are_all_pool_hits() {
-    assert!(matsciml_tensor::pool_enabled(), "pooling is the default");
-
     for (world_size, per_rank_batch, overlap) in [(2, 4, false), (4, 2, true)] {
         let mut model = TaskModel::egnn(
             EgnnConfig::small(8),

@@ -2,18 +2,16 @@
 //! and resumed from its `matsciml-ckpt/v1` file must finish **bit for
 //! bit** where the uninterrupted 20-step run finishes — every per-step
 //! loss, grad norm, learning rate, every validation metric, and every
-//! final parameter tensor — with the full engine stack on (fused linear,
-//! fused edges, buffer pooling, SIMD lanes, overlapped allreduce,
-//! read-ahead with worker collation).
+//! final parameter tensor — with SIMD lanes, overlapped allreduce and
+//! read-ahead with worker collation on.
 //!
 //! A second test checks the observability surface: `ckpt/saves`,
 //! `ckpt/bytes_written`, and `ckpt/resume_step` move as documented.
 
 use matsciml_datasets::{Compose, DataLoader, DatasetId, Split, SyntheticMaterialsProject};
 use matsciml_models::EgnnConfig;
-use matsciml_nn::{set_fused_edges, set_fused_linear};
 use matsciml_obs::Obs;
-use matsciml_tensor::{set_pool_enabled, set_simd_enabled};
+use matsciml_tensor::set_simd_enabled;
 use matsciml_train::{
     TargetKind, TaskHeadConfig, TaskModel, TrainCheckpoint, TrainConfig, TrainLog, Trainer,
     CKPT_BYTES_WRITTEN, CKPT_RESUME_STEP, CKPT_SAVES,
@@ -85,10 +83,7 @@ fn assert_params_match(a: &TaskModel, b: &TaskModel, what: &str) {
 
 #[test]
 fn resumed_run_is_bit_identical_to_uninterrupted_run() {
-    // The whole engine stack on: resume must compose with every toggle.
-    set_fused_linear(true);
-    set_fused_edges(true);
-    set_pool_enabled(true);
+    // SIMD on: resume must compose with the lane tier.
     set_simd_enabled(true);
 
     let ds = SyntheticMaterialsProject::new(160, 17);

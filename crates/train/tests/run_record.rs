@@ -10,6 +10,7 @@ use matsciml_models::EgnnConfig;
 use matsciml_obs::{Event, MemorySink, Obs, RunRecord, RunRecorder};
 use matsciml_train::{
     MetricMap, TargetKind, TaskHeadConfig, TaskModel, TrainConfig, Trainer, COMM_ALLREDUCE_BYTES,
+    EDGE_BYTES_SAVED, EDGE_FUSED_CALLS,
 };
 
 const WORLD: usize = 2;
@@ -108,6 +109,12 @@ fn two_rank_run_record_validates_and_replays() {
     assert_eq!(
         summary.counters["data/samples_loaded"],
         STEPS * (WORLD * PER_RANK) as u64
+    );
+    // The encoder's edge stages ran on the fused kernels, which count
+    // their calls and the intermediate bytes they avoided.
+    assert!(
+        summary.counters[EDGE_FUSED_CALLS] > 0 && summary.counters[EDGE_BYTES_SAVED] > 0,
+        "an observed run must count fused edge calls and saved bytes"
     );
 
     // Phase quantiles were aggregated for every step phase.

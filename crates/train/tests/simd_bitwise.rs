@@ -1,7 +1,6 @@
 //! The SIMD lane-tier acceptance test: the vector kernels are a pure
-//! instruction-selection change. A 20-step training run with every
-//! engine toggle on — fused linear, fused edge kernels, buffer pooling,
-//! overlapped allreduce, read-ahead, SIMD lanes — must reproduce the
+//! instruction-selection change. A 20-step training run with SIMD lanes,
+//! overlapped allreduce and read-ahead on must reproduce the
 //! scalar-fallback run **bit for bit**: every per-step loss, grad norm,
 //! learning rate, every validation metric, and every final parameter
 //! tensor, across world sizes {2, 4} and with rank parallelism on and
@@ -13,9 +12,8 @@
 
 use matsciml_datasets::{Compose, DataLoader, DatasetId, Split, SyntheticMaterialsProject};
 use matsciml_models::EgnnConfig;
-use matsciml_nn::{set_fused_edges, set_fused_linear};
 use matsciml_obs::{MemorySink, Obs, RunRecord, RunRecorder};
-use matsciml_tensor::{set_pool_enabled, set_simd_enabled, simd_enabled};
+use matsciml_tensor::{set_simd_enabled, simd_enabled};
 use matsciml_train::{
     TargetKind, TaskHeadConfig, TaskModel, TrainConfig, TrainLog, Trainer, SIMD_FALLBACK_HITS,
     SIMD_LANE_OPS,
@@ -108,12 +106,6 @@ fn assert_params_match(a: &TaskModel, b: &TaskModel, what: &str) {
 #[test]
 fn simd_training_is_bit_identical_to_scalar_fallback() {
     let was_on = simd_enabled();
-    // Every other engine toggle pinned on: the lane tier must compose
-    // with the full fused + pooled + overlapped + read-ahead pipeline.
-    set_fused_linear(true);
-    set_fused_edges(true);
-    set_pool_enabled(true);
-
     for world in [2usize, 4] {
         for parallel in [false, true] {
             set_simd_enabled(false);
@@ -136,10 +128,6 @@ fn simd_training_is_bit_identical_to_scalar_fallback() {
 #[test]
 fn simd_training_is_bit_identical_at_hidden_64() {
     let was_on = simd_enabled();
-    set_fused_linear(true);
-    set_fused_edges(true);
-    set_pool_enabled(true);
-
     set_simd_enabled(false);
     let (scalar_log, scalar_model) = run_at(2, true, 64, 4, None);
     set_simd_enabled(true);

@@ -10,8 +10,7 @@
 //! Order identity is checked fingerprint-by-fingerprint over two epochs
 //! of blocked-shuffle batches; trajectory identity is a 5-step run
 //! compared loss/grad-norm/lr/val-metric/final-parameter bitwise, with
-//! every engine tier (fused linear, fused edges, buffer pool, SIMD
-//! lanes) enabled.
+//! the SIMD lane tier enabled.
 
 use std::path::PathBuf;
 
@@ -20,8 +19,7 @@ use matsciml_datasets::{
     StreamingDataset, SyntheticLips,
 };
 use matsciml_models::EgnnConfig;
-use matsciml_nn::{set_fused_edges, set_fused_linear};
-use matsciml_tensor::{set_pool_enabled, set_simd_enabled};
+use matsciml_tensor::set_simd_enabled;
 use matsciml_train::{TargetKind, TaskHeadConfig, TaskModel, TrainConfig, TrainLog, Trainer};
 
 const SAMPLES: usize = 160;
@@ -154,11 +152,8 @@ fn assert_same_trajectory(a: &(TrainLog, TaskModel), b: &(TrainLog, TaskModel), 
 
 #[test]
 fn streamed_training_matches_in_memory_across_layouts_and_threads() {
-    // Every engine tier on: storage and read-ahead must compose with the
-    // full fused + pooled + SIMD pipeline without touching the numbers.
-    set_fused_linear(true);
-    set_fused_edges(true);
-    set_pool_enabled(true);
+    // SIMD on: storage and read-ahead must compose with the lane tier
+    // without touching the numbers.
     set_simd_enabled(true);
 
     let in_memory = SyntheticLips::new(SAMPLES, SEED);

@@ -120,20 +120,18 @@ impl PretrainSpec {
 
 /// Train (or load from cache) the shared symmetry-pretrained model.
 ///
-/// The trained parameter store is cached as JSON under
-/// `target/experiments/pretrained/` keyed by architecture + budget, so the
-/// downstream figure binaries reuse one pretraining run — mirroring the
-/// paper, where a single pretrained model feeds Sections 5.3 and 5.4.
+/// The trained model is cached as a `.mckpt` model artifact (its
+/// training log as JSON beside it) under `target/experiments/pretrained/`
+/// keyed by architecture + budget, so the downstream figure binaries
+/// reuse one pretraining run — mirroring the paper, where a single
+/// pretrained model feeds Sections 5.3 and 5.4.
 pub fn pretrained_model(scale: Scale) -> (TaskModel, TrainLog) {
     let spec = PretrainSpec::standard(scale);
     let cfg = encoder_config();
     let dir = experiment_dir("pretrained");
-    let key = format!(
-        "encoder-h{}-steps{}-n{}.json",
-        cfg.hidden, spec.steps, spec.world_size
-    );
-    let cache = dir.join(&key);
-    let log_cache = dir.join(format!("log-{key}"));
+    let key = format!("encoder-h{}-steps{}-n{}", cfg.hidden, spec.steps, spec.world_size);
+    let cache = dir.join(format!("{key}.mckpt"));
+    let log_cache = dir.join(format!("log-{key}.json"));
 
     let dataset = SymmetryDataset::new(scale.samples(8192).max(1024), 17);
     let heads = [TaskHeadConfig::symmetry(
@@ -143,14 +141,11 @@ pub fn pretrained_model(scale: Scale) -> (TaskModel, TrainLog) {
     )];
     let mut model = TaskModel::egnn(cfg, &heads, 1234);
 
-    if let (Ok(bytes), Ok(log_bytes)) = (std::fs::read(&cache), std::fs::read(&log_cache)) {
-        if let (Ok(params), Ok(log)) = (
-            serde_json::from_slice::<ParamSet>(&bytes),
-            serde_json::from_slice::<TrainLog>(&log_bytes),
-        ) {
-            if params.len() == model.params.len() {
+    if let (Ok(cached), Ok(log_bytes)) = (load_infer_model(&cache), std::fs::read(&log_cache)) {
+        if let Ok(log) = serde_json::from_slice::<TrainLog>(&log_bytes) {
+            if cached.model.params.len() == model.params.len() {
                 eprintln!("[pretrain] loaded cached encoder from {}", cache.display());
-                model.params.copy_values_from(&params);
+                model.params.copy_values_from(&cached.model.params);
                 return (model, log);
             }
         }
@@ -188,7 +183,7 @@ pub fn pretrained_model(scale: Scale) -> (TaskModel, TrainLog) {
         readahead_depth: 0,
     });
     let log = trainer.train(&mut model, &train_dl, Some(&val_dl));
-    std::fs::write(&cache, serde_json::to_string(&model.params).unwrap()).ok();
+    save_model(&cache, &model, Precision::F32).ok();
     std::fs::write(&log_cache, serde_json::to_string(&log).unwrap()).ok();
     if let Some(v) = log.final_val() {
         eprintln!("[pretrain] final val: {}", v.render());

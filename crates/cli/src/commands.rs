@@ -208,32 +208,17 @@ pub fn cmd_shard_write(args: &Args) -> Result<(), String> {
 /// loads for the reduced-precision tier; it is not resumable for
 /// training.
 pub fn cmd_quantize(args: &Args) -> Result<(), String> {
-    let ckpt_path = args.get("ckpt").map(str::to_string);
-    let model_path = args.get("model").map(str::to_string);
-    let out = args
-        .get("out")
-        .ok_or("usage: matsciml quantize --ckpt IN.mckpt|--model IN.json --out OUT.mckpt [--precision f16|bf16]")?
-        .to_string();
+    let usage = "usage: matsciml quantize --ckpt IN.mckpt --out OUT.mckpt [--precision f16|bf16]";
+    let path = args.get("ckpt").ok_or(usage)?.to_string();
+    let out = args.get("out").ok_or(usage)?.to_string();
     let precision_arg = args.str_or("precision", "f16");
     args.reject_unknown()?;
     let precision = Precision::parse(&precision_arg)
         .ok_or_else(|| format!("--precision: unknown precision `{precision_arg}` (f16|bf16)"))?;
 
-    let (model, in_bytes) = match (&ckpt_path, &model_path) {
-        (Some(path), None) => {
-            let loaded = load_infer_model(path).map_err(|e| e.to_string())?;
-            let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            (loaded.model, bytes)
-        }
-        (None, Some(path)) => {
-            let m = TaskModel::load(path).map_err(|e| e.to_string())?;
-            let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            (m, bytes)
-        }
-        _ => return Err("pass exactly one of --ckpt FILE.mckpt or --model FILE.json".into()),
-    };
-
-    let out_bytes = save_quantized_checkpoint(&out, &model, precision).map_err(|e| e.to_string())?;
+    let model = load_infer_model(&path).map_err(|e| e.to_string())?.model;
+    let in_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+    let out_bytes = save_model(&out, &model, precision).map_err(|e| e.to_string())?;
     // Re-read the artifact: proves round-trip and surfaces the stored
     // per-tensor quantization errors.
     let back = load_infer_model(&out).map_err(|e| e.to_string())?;
@@ -267,8 +252,8 @@ pub fn cmd_train(args: &Args) -> Result<(), String> {
     // (docs/SHARD_FORMAT.md) instead of materializing the dataset.
     let data_dir = args.get("data-dir").map(str::to_string);
     // Multi-shard read-ahead: N loader threads decoding --readahead-depth
-    // batches ahead of the optimizer (MATSCIML_READAHEAD=0 falls back to
-    // synchronous loads without changing the trajectory).
+    // batches ahead of the optimizer (0, the default, loads synchronously;
+    // the trajectory is the same either way).
     let readahead = args.num_or("readahead", 0usize)?;
     let readahead_depth = args.num_or("readahead-depth", 0usize)?;
     // --shuffle-block B shuffles shard-sized blocks, then within each
@@ -400,7 +385,7 @@ fn train_obs(run_dir: &Option<String>, trace: bool) -> Result<Obs, String> {
 
 /// Post-run reporting shared by the fresh-run and resume paths of
 /// [`cmd_train`]: eval table, run-record artifacts, trace summary, and
-/// the optional JSON model checkpoint.
+/// the optional `--save` model artifact.
 fn report_train(
     log: &TrainLog,
     model: &TaskModel,
@@ -439,8 +424,8 @@ fn report_train(
         }
     }
     if let Some(path) = save {
-        model.save(path).map_err(|e| e.to_string())?;
-        eprintln!("saved full model checkpoint to {path}");
+        save_model(path, model, Precision::F32).map_err(|e| e.to_string())?;
+        eprintln!("saved model to {path}");
     }
     Ok(())
 }
@@ -458,8 +443,8 @@ pub fn cmd_embed(args: &Args) -> Result<(), String> {
     let ds = dataset_by_name(&ds_name, count, seed)?;
     let model = match load {
         Some(path) => {
-            let m = TaskModel::load(&path).map_err(|e| e.to_string())?;
-            eprintln!("loaded model checkpoint from {path}");
+            let m = load_infer_model(&path).map_err(|e| e.to_string())?.model;
+            eprintln!("loaded model from {path}");
             m
         }
         None => TaskModel::egnn(
@@ -547,11 +532,12 @@ COMMANDS:
                       are cross-checked against a fresh rebuild)
   train                     train a single-task model
       --dataset mp|cmd|oc20|oc22|lips|symmetry --target band_gap|fermi|e_form|stability|energy|sym
-      --steps N --hidden H --world N --batch B --lr LR --save FILE --constant-lr
+      --steps N --hidden H --world N --batch B --lr LR --constant-lr
+      --save FILE.mckpt  (write the trained model, docs/CHECKPOINT_FORMAT.md)
       --from FILE.jsonl  (train on a dataset exported by `generate`)
       --data-dir DIR     (stream a corpus written by `shard-write`)
       --readahead N --readahead-depth D  (N loader threads decoding D
-                      batches ahead; MATSCIML_READAHEAD=0 disables)
+                      batches ahead; 0, the default, loads synchronously)
       --shuffle-block B  (shard-local shuffle: blocks of B, then within)
       --run-dir DIR  (write run.jsonl per docs/RUN_RECORD.md + train.csv)
       --trace        (print per-phase timing quantiles after the run)
@@ -560,13 +546,13 @@ COMMANDS:
       --resume FILE.mckpt  (continue a checkpointed run bit-identically;
                       --steps is the new total budget)
   embed                     encoder embeddings as CSV
-      --dataset D --count N --hidden H --load CHECKPOINT --out FILE
+      --dataset D --count N --hidden H --load FILE.mckpt --out FILE
   quantize                  write a reduced-precision inference artifact
-      --ckpt IN.mckpt | --model IN.json --out OUT.mckpt
+      --ckpt IN.mckpt --out OUT.mckpt
       --precision f16|bf16  (PRMH section, docs/CHECKPOINT_FORMAT.md)
   serve                     batched property-prediction server (docs/SERVING.md)
-      --ckpt FILE.mckpt | --model FILE.json   (what to serve; accepts
-                      `quantize` artifacts)
+      --ckpt FILE.mckpt  (what to serve: a `train --save` model, a
+                      training checkpoint or a `quantize` artifact)
       --addr HOST:PORT --workers N --max-batch B --queue-cap Q --head H
       --precision f32|f16|bf16  (reduced-precision inference tier)
       --dataset D --size N --seed S  (dataset behind index requests)

@@ -95,7 +95,6 @@ struct ServeSnapshot {
 /// predictions until a client sends `{"cmd":"shutdown"}`.
 pub fn cmd_serve(args: &Args) -> Result<(), String> {
     let ckpt_path = args.get("ckpt").map(str::to_string);
-    let model_path = args.get("model").map(str::to_string);
     let addr = args.str_or("addr", "127.0.0.1:7878");
     let workers = args.num_or("workers", 2usize)?;
     let max_batch = args.num_or("max-batch", 16usize)?;
@@ -110,25 +109,14 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
     let precision = Precision::parse(&precision_arg)
         .ok_or_else(|| format!("--precision: unknown precision `{precision_arg}` (f32|f16|bf16)"))?;
 
-    let model = match (&ckpt_path, &model_path) {
-        (Some(path), None) => {
-            // Accepts full training checkpoints and quantized `PRMH`
-            // inference artifacts alike.
-            let loaded = load_infer_model(path).map_err(|e| e.to_string())?;
-            match loaded.stored_precision {
-                Some(p) => eprintln!("loaded quantized checkpoint {path} ({} storage)", p.name()),
-                None => eprintln!("loaded training checkpoint {path}"),
-            }
-            loaded.model
-        }
-        (None, Some(path)) => {
-            let m = TaskModel::load(path).map_err(|e| e.to_string())?;
-            eprintln!("loaded model checkpoint {path}");
-            m
-        }
-        (None, None) => return Err("pass --ckpt FILE.mckpt or --model FILE.json".into()),
-        (Some(_), Some(_)) => return Err("--ckpt and --model are mutually exclusive".into()),
-    };
+    let path = ckpt_path.ok_or("pass --ckpt FILE.mckpt")?;
+    // Accepts full training checkpoints and `save_model` artifacts alike.
+    let loaded = load_infer_model(&path).map_err(|e| e.to_string())?;
+    match loaded.stored_precision {
+        Some(p) => eprintln!("loaded quantized model {path} ({} storage)", p.name()),
+        None => eprintln!("loaded model {path}"),
+    }
+    let model = loaded.model;
     if head >= model.heads.len() {
         return Err(format!("--head {head} out of range: model has {} heads", model.heads.len()));
     }

@@ -98,7 +98,7 @@ pub mod prelude {
     pub use matsciml_ckpt::{CkptError, CkptReader, CkptWriter};
     pub use matsciml_train::{
         collate, ddp::ddp_step, ddp::DdpConfig, ddp::DdpTapes, ddp::StepInput, load_infer_model,
-        save_quantized_checkpoint, sweep::run_sweep, sweep::run_sweep_observed, sweep::SweepGrid,
+        save_model, sweep::run_sweep, sweep::run_sweep_observed, sweep::SweepGrid,
         sweep::Trial, target_stats, ForceFieldModel, throughput, EncoderKind, InferModel,
         InferenceServer, LossKind, MetricMap, EarlyStop, ServeConfig, ServeError, TargetKind,
         TaskHead, TaskHeadConfig, TaskModel, TrainCheckpoint, TrainConfig, TrainLog,

@@ -28,23 +28,13 @@ use crate::transform::Transform;
 /// Counter name for batches served from the read-ahead pipeline.
 pub const DATA_READAHEAD_HIT: &str = "data/readahead_hit";
 /// Counter name for batches that bypassed read-ahead (not requested in
-/// order, or read-ahead disabled) and loaded synchronously.
+/// order) and loaded synchronously.
 pub const DATA_READAHEAD_MISS: &str = "data/readahead_miss";
 /// Histogram name for the ready-queue depth observed at each take: how
 /// many completed batches were waiting ahead of need. Persistently 0
 /// means the trainer outruns the readers; persistently at capacity means
 /// the readers outrun the trainer.
 pub const DATA_READAHEAD_DEPTH: &str = "data/readahead_depth";
-
-/// Whether the read-ahead pipeline may spawn worker threads.
-/// `MATSCIML_READAHEAD=0` (or `false`/`off`) forces every take through
-/// the synchronous path — the escape hatch `scripts/verify.sh` pins.
-pub fn readahead_enabled() -> bool {
-    !matches!(
-        std::env::var("MATSCIML_READAHEAD").ok().as_deref(),
-        Some("0") | Some("false") | Some("off")
-    )
-}
 
 /// How an epoch permutation is drawn. Part of the loader's determinism
 /// contract: the order depends only on `(split, seed, epoch, mode)` —
@@ -221,10 +211,6 @@ impl<'d> DataLoader<'d> {
     /// `O(depth + threads)` batches no matter how far the schedule runs
     /// ahead. The front end reassembles results into request order, so
     /// delivery is bit-identical for any `threads ≥ 1`.
-    ///
-    /// When [`readahead_enabled`] is false (`MATSCIML_READAHEAD=0`), no
-    /// workers spawn and every take falls back to the synchronous path
-    /// (counted under [`DATA_READAHEAD_MISS`]).
     pub fn spawn_readahead<'s>(
         &'s self,
         scope: &'s std::thread::Scope<'s, '_>,
@@ -247,7 +233,8 @@ impl<'d> DataLoader<'d> {
     /// The delivery contract is unchanged: results come back in request
     /// order, and a take that misses the pipeline loads synchronously
     /// and runs the *same* `stage` inline, so the value stream is
-    /// bit-identical for any worker count, including zero.
+    /// bit-identical for any worker count, and to a loop of synchronous
+    /// loads (the trainer's `readahead_threads: 0`).
     pub fn spawn_readahead_with<'s, T: Send + 's>(
         &'s self,
         scope: &'s std::thread::Scope<'s, '_>,
@@ -257,10 +244,9 @@ impl<'d> DataLoader<'d> {
     ) -> ReadAhead<'s, T> {
         assert!(threads > 0, "readahead needs at least one worker");
         assert!(depth > 0, "readahead needs a positive queue depth");
-        let workers = if readahead_enabled() { threads } else { 0 };
         let shared = Arc::new(RaQueue::default());
         let (res_tx, res_rx) = std::sync::mpsc::sync_channel::<(u64, T)>(depth);
-        for _ in 0..workers {
+        for _ in 0..threads {
             let shared = Arc::clone(&shared);
             let res_tx: SyncSender<(u64, T)> = res_tx.clone();
             scope.spawn(move || loop {
@@ -291,7 +277,6 @@ impl<'d> DataLoader<'d> {
             pending: VecDeque::new(),
             ready: BTreeMap::new(),
             next_seq: 0,
-            workers,
             stage,
         }
     }
@@ -331,18 +316,13 @@ pub struct ReadAhead<'s, T = Vec<Sample>> {
     /// Completed batches that arrived ahead of their turn.
     ready: BTreeMap<u64, T>,
     next_seq: u64,
-    workers: usize,
     /// Worker-side per-batch stage; also run inline on fallback loads.
     stage: &'s (dyn Fn(Vec<Sample>) -> T + Sync),
 }
 
 impl<T> ReadAhead<'_, T> {
-    /// Queue `batch` for background materialization. No-op when
-    /// read-ahead is disabled ([`readahead_enabled`]).
+    /// Queue `batch` for background materialization.
     pub fn request(&mut self, batch: &[usize]) {
-        if self.workers == 0 {
-            return;
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending.push_back((seq, batch.to_vec()));
@@ -361,8 +341,7 @@ impl<T> ReadAhead<'_, T> {
     /// outstanding request (the trainer's cadence guarantees this);
     /// completed batches are claimed from the reorder buffer or awaited
     /// from the result channel, with only the blocking wait timed under
-    /// [`matsciml_obs::Phase::Data`]. Anything else — including every
-    /// take when read-ahead is disabled — is a *miss* served by a
+    /// [`matsciml_obs::Phase::Data`]. Anything else is a *miss* served by a
     /// synchronous [`DataLoader::load_observed`] followed by the same
     /// worker stage run inline (timed under `Phase::Data`), so hit and
     /// miss produce identical values. Counts [`DATA_READAHEAD_HIT`] /
@@ -375,7 +354,7 @@ impl<T> ReadAhead<'_, T> {
         obs: &matsciml_obs::Obs,
     ) -> T {
         let front_matches = self.pending.front().map(|(_, q)| q[..] == *batch) == Some(true);
-        if self.workers == 0 || !front_matches {
+        if !front_matches {
             obs.count(DATA_READAHEAD_MISS, 1);
             let samples = loader.load_observed(batch, obs);
             let span = obs.span(matsciml_obs::Phase::Data);
@@ -544,13 +523,8 @@ mod tests {
                 }
             }
         });
-        if readahead_enabled() {
-            assert_eq!(obs.counter(DATA_READAHEAD_HIT), schedule.len() as u64);
-            assert_eq!(obs.counter(DATA_READAHEAD_MISS), 0);
-        } else {
-            // MATSCIML_READAHEAD=0: same samples, all via the sync path.
-            assert_eq!(obs.counter(DATA_READAHEAD_MISS), schedule.len() as u64);
-        }
+        assert_eq!(obs.counter(DATA_READAHEAD_HIT), schedule.len() as u64);
+        assert_eq!(obs.counter(DATA_READAHEAD_MISS), 0);
     }
 
     #[test]
@@ -574,12 +548,7 @@ mod tests {
             // Unrequested batch: the fallback must run the same stage.
             assert_eq!(ra.take_observed(&dl, &schedule[0], &obs), inline(&schedule[0]));
         });
-        if readahead_enabled() {
-            assert_eq!(obs.counter(DATA_READAHEAD_MISS), 1);
-        } else {
-            // MATSCIML_READAHEAD=0: every take is a synchronous miss.
-            assert_eq!(obs.counter(DATA_READAHEAD_MISS), schedule.len() as u64 + 1);
-        }
+        assert_eq!(obs.counter(DATA_READAHEAD_MISS), 1);
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod synthetic;
 mod transform;
 
 pub use dataloader::{
-    readahead_enabled, DataLoader, ReadAhead, ShuffleMode, Split, DATA_READAHEAD_DEPTH,
+    DataLoader, ReadAhead, ShuffleMode, Split, DATA_READAHEAD_DEPTH,
     DATA_READAHEAD_HIT, DATA_READAHEAD_MISS,
 };
 pub use file::{JsonlDataset, JsonlStream};

@@ -641,16 +641,6 @@ mod mapped {
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 pub use mapped::MmapStorage;
 
-/// Whether [`ShardReader::open`] may memory-map (`MATSCIML_SHARD_MMAP=0`
-/// forces the buffered backend, mirroring the `MATSCIML_SIMD` escape
-/// hatch).
-fn mmap_allowed() -> bool {
-    !matches!(
-        std::env::var("MATSCIML_SHARD_MMAP").ok().as_deref(),
-        Some("0") | Some("false") | Some("off")
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
@@ -673,16 +663,13 @@ pub struct ShardReader {
 
 impl ShardReader {
     /// Open a shard with the best available backend: memory-mapped on
-    /// Linux/x86-64 (unless `MATSCIML_SHARD_MMAP=0`), buffered otherwise.
+    /// Linux/x86-64, buffered otherwise or when the mapping fails.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, ShardError> {
         let path = path.as_ref();
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        if mmap_allowed() {
-            if let Ok(map) = MmapStorage::open(path) {
-                return Self::from_storage(Box::new(map), path);
-            }
+        if let Ok(map) = MmapStorage::open(path) {
+            return Self::from_storage(Box::new(map), path);
         }
-        let _ = mmap_allowed(); // referenced on every target
         Self::open_buffered(path)
     }
 
@@ -1002,40 +989,46 @@ mod tests {
         write_shard(&samples, &path);
         let good = std::fs::read(&path).unwrap();
 
-        // Foreign file.
-        std::fs::write(&path, b"not a shard at all......").unwrap();
-        assert!(matches!(ShardReader::open(&path), Err(ShardError::BadMagic)));
+        // Every case through both backends: the mapped one (where the
+        // target has it) and the buffered fallback.
+        type Opener = fn(&Path) -> Result<ShardReader, ShardError>;
+        let openers: [Opener; 2] = [|p| ShardReader::open(p), |p| ShardReader::open_buffered(p)];
+        for open in openers {
+            // Foreign file.
+            std::fs::write(&path, b"not a shard at all......").unwrap();
+            assert!(matches!(open(&path), Err(ShardError::BadMagic)));
 
-        // Future container version.
-        let mut v = good.clone();
-        v[8] = 9;
-        std::fs::write(&path, &v).unwrap();
-        assert!(matches!(ShardReader::open(&path), Err(ShardError::UnsupportedVersion(9))));
+            // Future container version.
+            let mut v = good.clone();
+            v[8] = 9;
+            std::fs::write(&path, &v).unwrap();
+            assert!(matches!(open(&path), Err(ShardError::UnsupportedVersion(9))));
 
-        // Truncation mid-structure.
-        std::fs::write(&path, &good[..good.len() / 2]).unwrap();
-        assert!(matches!(
-            ShardReader::open(&path),
-            Err(ShardError::Truncated { .. }) | Err(ShardError::Malformed(_))
-        ));
+            // Truncation mid-structure.
+            std::fs::write(&path, &good[..good.len() / 2]).unwrap();
+            assert!(matches!(
+                open(&path),
+                Err(ShardError::Truncated { .. }) | Err(ShardError::Malformed(_))
+            ));
 
-        // A flipped bit in the index fails the index checksum at open.
-        let mut idx = good.clone();
-        idx[HEADER_LEN + SECTION_HEADER_LEN + META_LEN + SECTION_HEADER_LEN + 9] ^= 0x40;
-        std::fs::write(&path, &idx).unwrap();
-        assert!(matches!(
-            ShardReader::open(&path),
-            Err(ShardError::ChecksumMismatch { what: "index", .. })
-        ));
+            // A flipped bit in the index fails the index checksum at open.
+            let mut idx = good.clone();
+            idx[HEADER_LEN + SECTION_HEADER_LEN + META_LEN + SECTION_HEADER_LEN + 9] ^= 0x40;
+            std::fs::write(&path, &idx).unwrap();
+            assert!(matches!(
+                open(&path),
+                Err(ShardError::ChecksumMismatch { what: "index", .. })
+            ));
 
-        // A flipped bit in the data passes open (lazy by design) but
-        // fails verify().
-        let mut data = good.clone();
-        let n = data.len();
-        data[n - 10] ^= 0x01;
-        std::fs::write(&path, &data).unwrap();
-        let r = ShardReader::open(&path).unwrap();
-        assert!(matches!(r.verify(), Err(ShardError::ChecksumMismatch { what: "file", .. })));
+            // A flipped bit in the data passes open (lazy by design) but
+            // fails verify().
+            let mut data = good.clone();
+            let n = data.len();
+            data[n - 10] ^= 0x01;
+            std::fs::write(&path, &data).unwrap();
+            let r = open(&path).unwrap();
+            assert!(matches!(r.verify(), Err(ShardError::ChecksumMismatch { what: "file", .. })));
+        }
 
         std::fs::remove_file(&path).ok();
     }

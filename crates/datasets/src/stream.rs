@@ -324,8 +324,10 @@ fn write_corpus_parallel(
 /// memory, not map count.
 pub const DEFAULT_MAX_OPEN: usize = 8;
 
-/// Default sample interval between `madvise(MADV_DONTNEED)` residency
-/// hints on mapped shards (see [`StreamingDataset::set_advise_every`]).
+/// Sample interval between `madvise(MADV_DONTNEED)` residency hints: after
+/// every this many decoded samples, the shard that served the sample gets
+/// [`ShardReader::advise_dontneed`], bounding mapped-page residency over
+/// long streams.
 pub const DEFAULT_ADVISE_EVERY: u64 = 65_536;
 
 struct OpenShards {
@@ -355,8 +357,7 @@ struct StreamingInner {
     open: Mutex<OpenShards>,
     max_open: usize,
     obs: matsciml_obs::Obs,
-    /// Samples decoded since the last residency hint (0 disables hints).
-    advise_every: u64,
+    /// Samples decoded since the last residency hint.
     since_advise: AtomicU64,
 }
 
@@ -388,12 +389,6 @@ impl StreamingDataset {
         }
         starts.push(acc);
         let nshards = manifest.shards.len();
-        let advise_every = match std::env::var("MATSCIML_STREAM_ADVISE").ok() {
-            Some(v) => v.parse::<u64>().map_err(|_| {
-                ShardError::Malformed(format!("MATSCIML_STREAM_ADVISE=`{v}` is not an integer"))
-            })?,
-            None => DEFAULT_ADVISE_EVERY,
-        };
         Ok(StreamingDataset {
             inner: Arc::new(StreamingInner {
                 dir,
@@ -406,7 +401,6 @@ impl StreamingDataset {
                 }),
                 max_open,
                 obs,
-                advise_every,
                 since_advise: AtomicU64::new(0),
             }),
         })
@@ -425,19 +419,6 @@ impl StreamingDataset {
     /// Number of shard files.
     pub fn num_shards(&self) -> usize {
         self.inner.manifest.shards.len()
-    }
-
-    /// Override the residency-hint cadence: after every `every` decoded
-    /// samples, the shard that served the sample gets
-    /// [`ShardReader::advise_dontneed`], bounding mapped-page residency
-    /// over long streams. `0` disables hints. The environment variable
-    /// `MATSCIML_STREAM_ADVISE` sets the initial value
-    /// (default [`DEFAULT_ADVISE_EVERY`]).
-    pub fn set_advise_every(&mut self, every: u64) {
-        // Sole-owner mutation; clones made afterwards share the setting.
-        Arc::get_mut(&mut self.inner)
-            .expect("set_advise_every before cloning/sharing")
-            .advise_every = every;
     }
 
     /// Map a global index to `(shard, local index)`.
@@ -496,12 +477,10 @@ impl StreamingDataset {
         let sample = crate::shard::decode_record(bytes)?;
         let inner = &self.inner;
         inner.obs.count(DATA_STREAM_BYTES, n);
-        if inner.advise_every > 0 {
-            let prev = inner.since_advise.fetch_add(1, Ordering::Relaxed);
-            if prev + 1 >= inner.advise_every {
-                inner.since_advise.store(0, Ordering::Relaxed);
-                reader.advise_dontneed();
-            }
+        let prev = inner.since_advise.fetch_add(1, Ordering::Relaxed);
+        if prev + 1 >= DEFAULT_ADVISE_EVERY {
+            inner.since_advise.store(0, Ordering::Relaxed);
+            reader.advise_dontneed();
         }
         Ok(sample)
     }

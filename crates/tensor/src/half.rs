@@ -96,15 +96,10 @@ impl Precision {
     }
 }
 
-const PREC_F32: u8 = 0;
-const PREC_F16: u8 = 1;
-const PREC_BF16: u8 = 2;
-const PREC_UNSET: u8 = 255;
-
-/// Tri-state-plus: the first query consults `MATSCIML_INFER_PRECISION`
-/// exactly once without a lock, after which the mode behaves like the
-/// SIMD tier toggle (`set_simd_enabled`).
-static PRECISION: AtomicU8 = AtomicU8::new(PREC_UNSET);
+/// The active inference tier, as [`Precision::tag_byte`]. Starts at
+/// [`Precision::F32`]; only [`set_infer_precision`] moves it (the
+/// inference server does so at every start, from `ServeConfig::precision`).
+static PRECISION: AtomicU8 = AtomicU8::new(0);
 
 /// Select the inference storage precision process-wide.
 ///
@@ -114,32 +109,13 @@ static PRECISION: AtomicU8 = AtomicU8::new(PREC_UNSET);
 /// The training path must run with [`Precision::F32`] (the default) to
 /// keep its bit-exactness contract.
 pub fn set_infer_precision(precision: Precision) {
-    let v = match precision {
-        Precision::F32 => PREC_F32,
-        Precision::F16 => PREC_F16,
-        Precision::Bf16 => PREC_BF16,
-    };
-    PRECISION.store(v, Ordering::Relaxed);
+    PRECISION.store(precision.tag_byte(), Ordering::Relaxed);
 }
 
-/// The active inference precision. Defaults to [`Precision::F32`]; the
-/// first call honours `MATSCIML_INFER_PRECISION=f32|f16|bf16` from the
-/// environment (the hook `scripts/verify.sh` uses to force the exact
-/// tier), treating unknown values as `f32`.
+/// The active inference precision ([`Precision::F32`] until
+/// [`set_infer_precision`] selects another).
 pub fn infer_precision() -> Precision {
-    match PRECISION.load(Ordering::Relaxed) {
-        PREC_F32 => Precision::F32,
-        PREC_F16 => Precision::F16,
-        PREC_BF16 => Precision::Bf16,
-        _ => {
-            let p = std::env::var("MATSCIML_INFER_PRECISION")
-                .ok()
-                .and_then(|v| Precision::parse(&v))
-                .unwrap_or(Precision::F32);
-            set_infer_precision(p);
-            p
-        }
-    }
+    Precision::from_tag_byte(PRECISION.load(Ordering::Relaxed)).unwrap_or(Precision::F32)
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@
 //! File layout (see `docs/CHECKPOINT_FORMAT.md` for the normative spec):
 //! `PARAMS` (tensor names/shapes/bits), `OPTADAMW` (hyperparameters,
 //! step count, m/v moments), `MODELJSN` (architecture JSON, no weights),
-//! `TRAINCFG` (the [`TrainConfig`] JSON), `TRAINST` (progress).
+//! `TRAINCFG` (the [`TrainConfig`] JSON), `TRAINST` (progress). A model
+//! artifact ([`save_model`]) is the `MODELJSN` + parameters subset — the
+//! one on-disk form of a model.
 
 use std::path::Path;
 
@@ -22,6 +24,7 @@ use matsciml_ckpt::{
     decode_adamw, decode_params, decode_params_half, encode_adamw, encode_params,
     encode_params_half, tags, ByteReader, ByteWriter, CkptError, CkptReader, CkptWriter,
 };
+use matsciml_nn::ParamSet;
 use matsciml_obs::Obs;
 use matsciml_opt::AdamWState;
 use matsciml_tensor::Precision;
@@ -64,6 +67,37 @@ struct ArchJson {
     encoder_param_count: usize,
 }
 
+/// `model`'s `MODELJSN` payload.
+fn arch_json(model: &TaskModel) -> Result<Vec<u8>, CkptError> {
+    let arch = ArchJson {
+        encoder: model.encoder.clone(),
+        heads: model.heads.clone(),
+        encoder_param_count: model.encoder_param_count,
+    };
+    serde_json::to_string(&arch)
+        .map(String::into_bytes)
+        .map_err(|e| CkptError::Malformed(format!("architecture JSON: {e}")))
+}
+
+/// Parse a `MODELJSN` payload and rebuild the model around `params`.
+fn model_from(arch_json: &[u8], params: ParamSet) -> Result<TaskModel, CkptError> {
+    let arch: ArchJson = serde_json::from_slice(arch_json)
+        .map_err(|e| CkptError::Malformed(format!("architecture JSON: {e}")))?;
+    if arch.encoder_param_count > params.len() {
+        return Err(CkptError::Malformed(format!(
+            "encoder_param_count {} exceeds parameter count {}",
+            arch.encoder_param_count,
+            params.len()
+        )));
+    }
+    Ok(TaskModel {
+        params,
+        encoder: arch.encoder,
+        heads: arch.heads,
+        encoder_param_count: arch.encoder_param_count,
+    })
+}
+
 /// A loaded training checkpoint: the rebuilt model plus everything the
 /// trainer needs to continue the run bit-identically
 /// ([`crate::Trainer::resume_observed`]).
@@ -95,13 +129,6 @@ pub fn save_checkpoint(
         "optimizer moments do not match the model's parameter layout"
     );
     let t0 = obs.timer();
-    let arch = ArchJson {
-        encoder: model.encoder.clone(),
-        heads: model.heads.clone(),
-        encoder_param_count: model.encoder_param_count,
-    };
-    let arch_json = serde_json::to_string(&arch)
-        .map_err(|e| CkptError::Malformed(format!("architecture JSON: {e}")))?;
     let cfg_json = serde_json::to_string(config)
         .map_err(|e| CkptError::Malformed(format!("train config JSON: {e}")))?;
     let mut st = ByteWriter::new();
@@ -112,7 +139,7 @@ pub fn save_checkpoint(
     let mut w = CkptWriter::new();
     w.section(tags::PARAMS, encode_params(&model.params));
     w.section(tags::OPT_ADAMW, encode_adamw(opt));
-    w.section(tags::MODEL_JSON, arch_json.into_bytes());
+    w.section(tags::MODEL_JSON, arch_json(model)?);
     w.section(tags::TRAIN_CONFIG, cfg_json.into_bytes());
     w.section(tags::TRAIN_STATE, st.into_bytes());
     let bytes = w.write(path)?;
@@ -124,32 +151,23 @@ pub fn save_checkpoint(
     Ok(bytes)
 }
 
-/// Write a **quantized inference checkpoint**: `MODELJSN` plus a
+/// Write a **model artifact** for inference: `MODELJSN` plus the
+/// parameters — a bit-exact `PARAMS` section at [`Precision::F32`], or a
 /// `PRMH` section holding every parameter in packed f16/bf16 with its
-/// max-abs quantization error. Roughly half the bytes of a `PARAMS`
-/// section; carries no optimizer state, so it serves but cannot resume
-/// training. Old readers skip the `PRMH` tag under the v1
-/// forward-compat rule. Returns bytes written.
-pub fn save_quantized_checkpoint(
+/// max-abs quantization error (roughly half the bytes). It carries no
+/// optimizer state, so it serves ([`load_infer_model`]) but cannot
+/// resume training. Returns bytes written.
+pub fn save_model(
     path: impl AsRef<Path>,
     model: &TaskModel,
     precision: Precision,
 ) -> Result<u64, CkptError> {
-    if precision == Precision::F32 {
-        return Err(CkptError::Malformed(
-            "quantized checkpoint requires f16 or bf16 (use save_checkpoint for f32)".into(),
-        ));
-    }
-    let arch = ArchJson {
-        encoder: model.encoder.clone(),
-        heads: model.heads.clone(),
-        encoder_param_count: model.encoder_param_count,
-    };
-    let arch_json = serde_json::to_string(&arch)
-        .map_err(|e| CkptError::Malformed(format!("architecture JSON: {e}")))?;
     let mut w = CkptWriter::new();
-    w.section(tags::MODEL_JSON, arch_json.into_bytes());
-    w.section(tags::PARAMS_HALF, encode_params_half(&model.params, precision));
+    w.section(tags::MODEL_JSON, arch_json(model)?);
+    match precision {
+        Precision::F32 => w.section(tags::PARAMS, encode_params(&model.params)),
+        half => w.section(tags::PARAMS_HALF, encode_params_half(&model.params, half)),
+    };
     w.write(path)
 }
 
@@ -167,13 +185,11 @@ pub struct InferModel {
     pub max_abs_errors: Vec<f32>,
 }
 
-/// Load a model for serving from any checkpoint file: prefers a `PRMH`
-/// section when present (quantized inference artifact), falling back
-/// to `PARAMS` (full training checkpoint).
+/// Load a model from any `.mckpt` file: prefers a `PRMH` section when
+/// present (reduced-precision model artifact), falling back to `PARAMS`
+/// (f32 model artifact or full training checkpoint).
 pub fn load_infer_model(path: impl AsRef<Path>) -> Result<InferModel, CkptError> {
     let r = CkptReader::read(path)?;
-    let arch: ArchJson = serde_json::from_slice(r.require(tags::MODEL_JSON)?)
-        .map_err(|e| CkptError::Malformed(format!("architecture JSON: {e}")))?;
     let (params, stored_precision, max_abs_errors) = match r.section(tags::PARAMS_HALF) {
         Some(payload) => {
             let half = decode_params_half(payload)?;
@@ -181,20 +197,8 @@ pub fn load_infer_model(path: impl AsRef<Path>) -> Result<InferModel, CkptError>
         }
         None => (decode_params(r.require(tags::PARAMS)?)?, None, Vec::new()),
     };
-    if arch.encoder_param_count > params.len() {
-        return Err(CkptError::Malformed(format!(
-            "encoder_param_count {} exceeds parameter count {}",
-            arch.encoder_param_count,
-            params.len()
-        )));
-    }
     Ok(InferModel {
-        model: TaskModel {
-            params,
-            encoder: arch.encoder,
-            heads: arch.heads,
-            encoder_param_count: arch.encoder_param_count,
-        },
+        model: model_from(r.require(tags::MODEL_JSON)?, params)?,
         stored_precision,
         max_abs_errors,
     })
@@ -213,8 +217,6 @@ impl TrainCheckpoint {
         let r = CkptReader::read(path)?;
         let params = decode_params(r.require(tags::PARAMS)?)?;
         let opt = decode_adamw(r.require(tags::OPT_ADAMW)?)?;
-        let arch: ArchJson = serde_json::from_slice(r.require(tags::MODEL_JSON)?)
-            .map_err(|e| CkptError::Malformed(format!("architecture JSON: {e}")))?;
         let config: TrainConfig = serde_json::from_slice(r.require(tags::TRAIN_CONFIG)?)
             .map_err(|e| CkptError::Malformed(format!("train config JSON: {e}")))?;
         let mut st = ByteReader::new(r.require(tags::TRAIN_STATE)?);
@@ -223,14 +225,6 @@ impl TrainCheckpoint {
             best_metric: st.get_f64("progress best metric")? as f32,
             evals_without_improvement: st.get_u32("progress evals without improvement")?,
         };
-
-        if arch.encoder_param_count > params.len() {
-            return Err(CkptError::Malformed(format!(
-                "encoder_param_count {} exceeds parameter count {}",
-                arch.encoder_param_count,
-                params.len()
-            )));
-        }
         if opt.m.len() != params.len() {
             return Err(CkptError::Malformed(format!(
                 "optimizer has {} moment tensors for {} parameters",
@@ -238,12 +232,7 @@ impl TrainCheckpoint {
                 params.len()
             )));
         }
-        let model = TaskModel {
-            params,
-            encoder: arch.encoder,
-            heads: arch.heads,
-            encoder_param_count: arch.encoder_param_count,
-        };
+        let model = model_from(r.require(tags::MODEL_JSON)?, params)?;
         if obs.enabled() {
             obs.observe(CKPT_LOAD_US, (Obs::lap_ns(t0) / 1_000) as f64);
         }
@@ -285,6 +274,15 @@ mod tests {
         )
     }
 
+    /// Every parameter's bit patterns, in registration order.
+    fn bits(ps: &ParamSet) -> Vec<Vec<u32>> {
+        (0..ps.len())
+            .map(|i| {
+                ps.value(matsciml_nn::ParamId(i)).as_slice().iter().map(|v| v.to_bits()).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn full_checkpoint_roundtrip_is_bit_exact() {
         let model = small_model();
@@ -307,14 +305,7 @@ mod tests {
         assert_eq!(back.opt.t, opt.t);
         assert_eq!(back.model.encoder_param_count, model.encoder_param_count);
         assert_eq!(back.model.params.len(), model.params.len());
-        for i in 0..model.params.len() {
-            let id = matsciml_nn::ParamId(i);
-            let a: Vec<u32> =
-                back.model.params.value(id).as_slice().iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> =
-                model.params.value(id).as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "param {i} ({}) drifted", model.params.name(id));
-        }
+        assert_eq!(bits(&back.model.params), bits(&model.params));
         // The rebuilt model predicts identically (heads + encoder intact).
         let mp = matsciml_datasets::SyntheticMaterialsProject::new(4, 1);
         let t = matsciml_datasets::GraphTransform::radius(4.5, Some(12));
@@ -329,7 +320,7 @@ mod tests {
         let dir = std::env::temp_dir().join("matsciml-ckpt-quantized");
         for precision in [Precision::F16, Precision::Bf16] {
             let path = dir.join(format!("model-{}.mckpt", precision.name()));
-            let bytes = save_quantized_checkpoint(&path, &model, precision).unwrap();
+            let bytes = save_model(&path, &model, precision).unwrap();
             assert!(bytes > 0);
             let infer = load_infer_model(&path).unwrap();
             assert_eq!(infer.stored_precision, Some(precision));
@@ -349,8 +340,24 @@ mod tests {
             assert!(TrainCheckpoint::load(&path).is_err());
             std::fs::remove_file(&path).ok();
         }
-        // f32 has no packed form.
-        assert!(save_quantized_checkpoint(dir.join("x.mckpt"), &model, Precision::F32).is_err());
+    }
+
+    #[test]
+    fn f32_model_roundtrips_bit_exact_and_does_not_resume() {
+        let model = small_model();
+        let path = std::env::temp_dir().join("matsciml-ckpt-model").join("model-f32.mckpt");
+        save_model(&path, &model, Precision::F32).unwrap();
+        let infer = load_infer_model(&path).unwrap();
+        assert_eq!(infer.stored_precision, None);
+        assert!(infer.max_abs_errors.is_empty());
+        assert_eq!(infer.model.encoder_param_count, model.encoder_param_count);
+        assert_eq!(bits(&infer.model.params), bits(&model.params));
+        // No optimizer state: a typed missing-section error, not a panic.
+        assert!(matches!(
+            TrainCheckpoint::load(&path),
+            Err(CkptError::MissingSection(tags::OPT_ADAMW))
+        ));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -366,11 +373,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("with-prmh.mckpt");
 
-        let arch = ArchJson {
-            encoder: model.encoder.clone(),
-            heads: model.heads.clone(),
-            encoder_param_count: model.encoder_param_count,
-        };
         let mut st = ByteWriter::new();
         st.put_u64(progress.step);
         st.put_f64(progress.best_metric as f64);
@@ -378,7 +380,7 @@ mod tests {
         let mut w = CkptWriter::new();
         w.section(tags::PARAMS, encode_params(&model.params));
         w.section(tags::OPT_ADAMW, encode_adamw(&opt));
-        w.section(tags::MODEL_JSON, serde_json::to_string(&arch).unwrap().into_bytes());
+        w.section(tags::MODEL_JSON, arch_json(&model).unwrap());
         w.section(
             tags::TRAIN_CONFIG,
             serde_json::to_string(&TrainConfig::default()).unwrap().into_bytes(),
@@ -392,14 +394,7 @@ mod tests {
 
         let back = TrainCheckpoint::load(&path).unwrap();
         assert_eq!(back.progress, progress);
-        for i in 0..model.params.len() {
-            let id = matsciml_nn::ParamId(i);
-            let a: Vec<u32> =
-                back.model.params.value(id).as_slice().iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> =
-                model.params.value(id).as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "param {i} drifted through the PRMH-carrying file");
-        }
+        assert_eq!(bits(&back.model.params), bits(&model.params));
         // And the same file serves quantized through the infer loader.
         let infer = load_infer_model(&path).unwrap();
         assert_eq!(infer.stored_precision, Some(Precision::F16));

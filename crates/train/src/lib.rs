@@ -38,7 +38,7 @@ pub mod throughput;
 mod trainer;
 
 pub use checkpoint::{
-    load_infer_model, save_checkpoint, save_quantized_checkpoint, InferModel, TrainCheckpoint,
+    load_infer_model, save_checkpoint, save_model, InferModel, TrainCheckpoint,
     TrainProgress, CKPT_BYTES_WRITTEN, CKPT_LOAD_US, CKPT_RESUME_STEP, CKPT_SAVES, CKPT_SAVE_US,
 };
 pub use collate::{

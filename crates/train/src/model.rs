@@ -49,9 +49,9 @@ impl EncoderKind {
 /// registered first), which is what makes pretrained-encoder transfer a
 /// [`ParamSet::copy_prefix_from`] call — the paper's fine-tuning setup.
 ///
-/// Serializable end to end: [`TaskModel::save`] / [`TaskModel::load`]
-/// checkpoint the architecture *and* the weights in one JSON artifact.
-#[derive(Serialize, Deserialize)]
+/// Its one on-disk form is a `.mckpt` model artifact
+/// ([`crate::save_model`] / [`crate::load_infer_model`]), which stores
+/// the architecture as JSON and the weights bit-exact.
 pub struct TaskModel {
     /// All trainable parameters (encoder prefix + heads).
     pub params: ParamSet,
@@ -207,23 +207,6 @@ impl TaskModel {
             worst = worst.max(err);
         }
         worst
-    }
-
-    /// Checkpoint the full model (architecture + parameters) as JSON.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        if let Some(dir) = path.as_ref().parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let json = serde_json::to_string(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(path, json)
-    }
-
-    /// Restore a checkpoint written by [`TaskModel::save`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let bytes = std::fs::read(path)?;
-        serde_json::from_slice(&bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
     /// Raw predictions of head `head_idx` for the given samples (eval
@@ -383,34 +366,6 @@ mod tests {
         let samples: Vec<Sample> = vec![t.apply(mp.sample(0)), t.apply(mp.sample(1))];
         let metrics = model.evaluate_batch(&samples);
         assert!(metrics.get("loss").unwrap().is_finite());
-    }
-
-    #[test]
-    fn full_checkpoint_roundtrip_preserves_predictions() {
-        let model = TaskModel::egnn(
-            EgnnConfig::small(8),
-            &[TaskHeadConfig::regression(
-                DatasetId::MaterialsProject,
-                TargetKind::BandGap,
-                16,
-                1,
-            )],
-            13,
-        );
-        let mp = SyntheticMaterialsProject::new(4, 13);
-        let samples = wired(vec![mp.sample(0), mp.sample(1)]);
-        let before = model.predict(&samples, 0);
-
-        let dir = std::env::temp_dir().join("matsciml-ckpt-test");
-        let path = dir.join("model.json");
-        model.save(&path).unwrap();
-        let restored = TaskModel::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-
-        assert_eq!(restored.encoder_param_count, model.encoder_param_count);
-        assert_eq!(restored.heads.len(), 1);
-        let after = restored.predict(&samples, 0);
-        assert_eq!(before, after, "checkpoint must reproduce identical predictions");
     }
 
     #[test]

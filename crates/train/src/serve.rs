@@ -302,21 +302,17 @@ impl InferenceServer {
         Ok(rx)
     }
 
-    /// Hot-swap the served model from a checkpoint file (full `PARAMS`
-    /// checkpoints, quantized `PRMH` artifacts, or a `.json` model
-    /// file). In-flight batches finish on the old model; every batch
-    /// coalesced after the swap uses the new parameters. The new model
-    /// must keep the configured head valid; on any error the old model
-    /// keeps serving. Records [`SERVE_RELOADS`] on success.
+    /// Hot-swap the served model from a `.mckpt` file (a training
+    /// checkpoint or a [`crate::save_model`] artifact, any precision).
+    /// In-flight batches finish on the old model; every batch coalesced
+    /// after the swap uses the new parameters. The new model must keep
+    /// the configured head valid; on any error the old model keeps
+    /// serving. Records [`SERVE_RELOADS`] on success.
     pub fn reload(&self, path: impl AsRef<Path>) -> Result<(), String> {
         let path = path.as_ref();
-        let mut model = if path.extension().is_some_and(|e| e == "json") {
-            TaskModel::load(path).map_err(|e| format!("reload {}: {e}", path.display()))?
-        } else {
-            load_infer_model(path)
-                .map_err(|e| format!("reload {}: {e}", path.display()))?
-                .model
-        };
+        let mut model = load_infer_model(path)
+            .map_err(|e| format!("reload {}: {e}", path.display()))?
+            .model;
         if self.shared.cfg.head >= model.heads.len() {
             return Err(format!(
                 "reload {}: model has {} heads, server is configured for head {}",
@@ -661,8 +657,8 @@ mod tests {
         );
         assert_eq!(srv.predict_indices(vec![0]).unwrap()[0], singles[0]);
 
-        // A differently seeded model with the same architecture, via both
-        // reloadable artifact kinds: JSON model files and checkpoint files.
+        // A differently seeded model with the same architecture, saved as
+        // a full-precision model artifact.
         let other = perturbed(99);
         let ds = SyntheticMaterialsProject::new(24, 21);
         let pipeline = Compose::standard(CUTOFF, MAXN);
@@ -679,19 +675,28 @@ mod tests {
             .expect("seeds must disagree somewhere for the swap to be visible");
         let expect = others[idx].clone();
 
-        let json = dir.join("other.json");
-        other.save(&json).unwrap();
-        srv.reload(&json).unwrap();
+        let path = dir.join("other.mckpt");
+        crate::save_model(&path, &other, Precision::F32).unwrap();
+        srv.reload(&path).unwrap();
         assert_eq!(srv.predict_indices(vec![idx]).unwrap()[0], expect);
 
-        // Errors leave the old (just-swapped) model serving.
-        assert!(srv.reload(dir.join("missing.ckpt")).is_err());
-        assert_eq!(srv.predict_indices(vec![idx]).unwrap()[0], expect);
+        // Errors leave the old (just-swapped) model serving: a missing
+        // file, a leftover JSON model from an earlier build, random bytes.
+        let json = dir.join("leftover.json");
+        std::fs::write(&json, br#"{"params":{"values":[],"names":[]},"heads":[]}"#).unwrap();
+        let noise = dir.join("noise.mckpt");
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        let bytes: Vec<u8> = (0..4096).map(|_| rand::RngCore::next_u32(&mut rng) as u8).collect();
+        std::fs::write(&noise, bytes).unwrap();
+        for bad in [dir.join("missing.mckpt"), json, noise] {
+            assert!(srv.reload(&bad).is_err(), "{} must not load", bad.display());
+            assert_eq!(srv.predict_indices(vec![idx]).unwrap()[0], expect);
+        }
 
-        // And back to the original weights through the binary checkpoint path.
+        // And back to the original weights through a quantized artifact.
         let orig = model_seeded(21);
-        let ckpt = dir.join("orig.ckpt");
-        crate::checkpoint::save_quantized_checkpoint(&ckpt, &orig, Precision::F16).unwrap();
+        let ckpt = dir.join("orig.mckpt");
+        crate::save_model(&ckpt, &orig, Precision::F16).unwrap();
         srv.reload(&ckpt).unwrap();
         let swapped = srv.predict_indices(vec![idx]).unwrap();
         assert_ne!(swapped[0], expect);

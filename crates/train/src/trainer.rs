@@ -69,8 +69,8 @@ pub struct TrainConfig {
     /// materialize them while the current batch trains. Delivery is
     /// reassembled into schedule order, so the trajectory is
     /// bit-identical for any thread count (and to the synchronous path).
-    /// 0 disables. `MATSCIML_READAHEAD=0` forces the synchronous fallback
-    /// at runtime.
+    /// 0 (the default) loads every batch synchronously on the trainer
+    /// thread.
     ///
     /// The workers also *collate*: each delivered item is the step's
     /// per-rank [`Batch`] list, so edge-CSR assembly overlaps with

@@ -89,8 +89,8 @@ fn transform_pipeline_feeds_collate_feeds_model() {
 
 #[test]
 fn checkpoint_roundtrip_preserves_predictions() {
-    // ParamSet JSON checkpointing (used by the bench pretraining cache)
-    // must reproduce identical model outputs.
+    // The `.mckpt` model artifact (used by `train --save`, `serve` and
+    // the bench pretraining cache) must reproduce identical model outputs.
     let mp = SyntheticMaterialsProject::new(4, 31);
     let pipeline = Compose::standard(4.5, Some(12));
     let samples: Vec<Sample> = (0..4).map(|i| pipeline.apply(mp.sample(i))).collect();
@@ -101,16 +101,13 @@ fn checkpoint_roundtrip_preserves_predictions() {
     );
     let before = model.predict(&samples, 0);
 
-    let json = serde_json::to_string(&model.params).unwrap();
-    let restored: ParamSet = serde_json::from_str(&json).unwrap();
-    let mut model2 = TaskModel::egnn(
-        EgnnConfig::small(8),
-        &[TaskHeadConfig::regression(DatasetId::MaterialsProject, TargetKind::BandGap, 16, 1)],
-        999, // different init, fully overwritten below
-    );
-    model2.params.copy_values_from(&restored);
-    let after = model2.predict(&samples, 0);
-    assert_eq!(before, after);
+    let path = std::env::temp_dir()
+        .join(format!("matsciml-cross-crate-{}", std::process::id()))
+        .join("model.mckpt");
+    save_model(&path, &model, Precision::F32).unwrap();
+    let restored = load_infer_model(&path).unwrap().model;
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    assert_eq!(before, restored.predict(&samples, 0));
 }
 
 #[test]

@@ -72,13 +72,13 @@ impl Graph {
                 (*a, g.matmul_nt(self.value(*b))),
                 (*b, self.value(*a).matmul_tn(g)),
             ],
-            Op::Linear { x, w, b, act, z } => {
+            Op::Linear { x, w, b, dact } => {
                 // One fused VJP for the matmul→add_row→activation triple.
-                // dz folds the activation derivative into g in one pass;
-                // the blocked nt/tn kernels then reproduce the unfused
+                // dz multiplies g by the act'(z) the forward saved; the
+                // blocked nt/tn kernels then reproduce the unfused
                 // Matmul VJP bit-for-bit, and the bias adjoint is the
                 // same column sum AddRow uses.
-                let dz = fused::act_backward(g, z, *act);
+                let dz = fused::act_backward(g, dact.as_ref());
                 let mut deltas = vec![
                     (*x, fused::matmul_nt_blocked(&dz, self.value(*w))),
                     (*w, fused::matmul_tn_blocked(self.value(*x), &dz)),

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use matsciml_tensor::{Act, Tensor};
+use matsciml_tensor::Tensor;
 
 /// Handle to a node in a [`Graph`]. Cheap to copy; only valid for the graph
 /// that created it.
@@ -23,9 +23,12 @@ pub(crate) enum Op {
     Matmul(Var, Var),
     /// Fused dense layer `y = act(x @ w + b)`: one node (and one VJP)
     /// replacing the `Matmul → AddRow → activation` triple. Caches the
-    /// pre-activation `z`, which every activation derivative is computed
-    /// from.
-    Linear { x: Var, w: Var, b: Option<Var>, act: Act, z: Tensor },
+    /// activation derivative `act'(z)` the forward sweep wrote in place
+    /// of the pre-activation (`None` for [`Act::Identity`]), so the VJP's
+    /// activation step is a single multiply.
+    ///
+    /// [`Act::Identity`]: matsciml_tensor::Act::Identity
+    Linear { x: Var, w: Var, b: Option<Var>, dact: Option<Tensor> },
     /// `x [m,n] + bias [n]` broadcast over rows.
     AddRow(Var, Var),
     /// `x [m,n] * gain [n]` broadcast over rows.

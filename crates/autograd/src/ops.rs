@@ -56,16 +56,18 @@ impl Graph {
     /// and the activation builder, but records one node instead of three
     /// and backpropagates with one VJP (the register-blocked kernels in
     /// [`matsciml_tensor::fused`] preserve the unfused accumulation order
-    /// exactly). The pre-activation `z` is cached for the backward pass;
-    /// with [`Act::Identity`] it shares the output's buffer.
+    /// exactly). The forward sweep also writes the activation derivative
+    /// `act'(z)` over the pre-activation's buffer and the node caches it,
+    /// so the backward pass multiplies instead of re-evaluating the
+    /// activation; [`Act::Identity`] caches nothing.
     pub fn linear(&mut self, x: Var, w: Var, b: Option<Var>, act: Act) -> Var {
-        let (z, y) = {
+        let (y, dact) = {
             let vx = self.value(x);
             let vw = self.value(w);
             let vb = b.map(|bv| self.value(bv));
             fused::linear(vx, vw, vb, act)
         };
-        self.push(y, Op::Linear { x, w, b, act, z })
+        self.push(y, Op::Linear { x, w, b, dact })
     }
 
     /// Add a `[n]` bias row-broadcast over `[m,n]`.

@@ -137,7 +137,7 @@ impl Encoder for AttentionEncoder {
 
         if input.num_edges() > 0 {
             // Pair distances are layer-independent: compute once.
-            let coords = g.input(input.coords.clone());
+            let coords = g.input(input.coords_tensor());
             let xi = g.gather_rows(coords, input.src.clone());
             let xj = g.gather_rows(coords, input.dst.clone());
             let rel = g.sub(xi, xj);

@@ -137,7 +137,7 @@ impl EgnnLayer {
         // x_i' = x_i + C Σ_j (x_i − x_j) tanh(φ_x(m_ij))
         let w_raw = self.phi_x.forward(g, ps, m);
         let w = g.tanh(w_raw);
-        let inv_degree = Some(input.inv_degree.clone());
+        let inv_degree = Some(input.inv_degree_tensor());
         let agg_x = g.weighted_scatter(rel, w, input.src.clone(), n, inv_degree);
         let x_new = g.add(x, agg_x);
 
@@ -204,7 +204,7 @@ impl EgnnEncoder {
         input: &ModelInput,
     ) -> (Var, Var, Var) {
         let mut h = self.embedding.forward(g, ps, input.species.clone());
-        let x0 = g.input(input.coords.clone());
+        let x0 = g.input(input.coords_tensor());
         let mut x = x0;
         for layer in &self.layers {
             let (h2, x2) = layer.forward(g, ps, input, h, x);
@@ -402,7 +402,7 @@ mod tests {
         let w = g.tanh(w_raw);
         let moved = g.mul_col(rel, w);
         let agg_x = g.scatter_add_rows(moved, input.src.clone(), n);
-        let inv_deg = g.input(input.inv_degree.clone());
+        let inv_deg = g.input(input.inv_degree_tensor());
         let agg_x = g.mul_col(agg_x, inv_deg);
         let x_new = g.add(x, agg_x);
 
@@ -422,7 +422,7 @@ mod tests {
         let bits = |t: &matsciml_tensor::Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect();
         let mut g = Graph::new();
         let mut h = enc.embedding.forward(&mut g, ps, input.species.clone());
-        let mut x = g.input(input.coords.clone());
+        let mut x = g.input(input.coords_tensor());
         for layer in &enc.layers {
             (h, x) = if fused {
                 layer.forward(&mut g, ps, input, h, x)

@@ -6,24 +6,31 @@ use std::sync::Arc;
 use matsciml_graph::BatchedGraph;
 use matsciml_tensor::Tensor;
 
-/// Everything an encoder needs from a batch, in tape-ready form: `Arc`'d
-/// index vectors (shared into gather/scatter ops without copying) and the
-/// `[total_nodes, 3]` coordinate matrix.
+/// Everything an encoder needs from a batch: `Arc`'d index vectors
+/// (shared into gather/scatter ops without copying) and the per-node
+/// float data.
+///
+/// The float data is kept as plain vectors, not tensors: a `ModelInput`
+/// is usually built on a read-ahead worker and consumed on a rank thread,
+/// and a tensor's buffer returns to the buffer pool of the thread that
+/// drops it. The encoder builds its tensors with [`Self::coords_tensor`]
+/// and [`Self::inv_degree_tensor`] on the thread that records the tape,
+/// whose pool the tape's reset refills.
 #[derive(Debug, Clone)]
 pub struct ModelInput {
     /// Species token per node.
     pub species: Arc<Vec<u32>>,
-    /// Node coordinates, `[n, 3]`.
-    pub coords: Tensor,
+    /// Node coordinates, row-major `[n, 3]`.
+    pub coords: Arc<Vec<f32>>,
     /// Edge sources.
     pub src: Arc<Vec<u32>>,
     /// Edge destinations.
     pub dst: Arc<Vec<u32>>,
     /// Node → graph segment ids.
     pub graph_ids: Arc<Vec<u32>>,
-    /// `1 / (in-degree + 1)` per node, `[n, 1]` — the mean-aggregation
-    /// normalizer for the E(n)-GNN coordinate update.
-    pub inv_degree: Tensor,
+    /// `1 / (in-degree + 1)` per node — the mean-aggregation normalizer
+    /// for the E(n)-GNN coordinate update.
+    pub inv_degree: Arc<Vec<f32>>,
     /// Number of graphs in the batch.
     pub num_graphs: usize,
 }
@@ -32,22 +39,32 @@ impl ModelInput {
     /// Extract from a batched graph.
     pub fn from_batched(batch: &BatchedGraph) -> Self {
         let n = batch.num_nodes();
-        let coords = Tensor::from_vec(&[n, 3], batch.merged.positions_flat())
-            .expect("positions length consistent with node count");
         let mut degree = vec![0u32; n];
         for &s in &batch.merged.src {
             degree[s as usize] += 1;
         }
-        let inv_degree = Tensor::from_fn(&[n, 1], |i| 1.0 / (degree[i] + 1) as f32);
+        let inv_degree = degree.iter().map(|&d| 1.0 / (d + 1) as f32).collect();
         ModelInput {
             species: Arc::new(batch.merged.species.clone()),
-            coords,
+            coords: Arc::new(batch.merged.positions_flat()),
             src: Arc::new(batch.merged.src.clone()),
             dst: Arc::new(batch.merged.dst.clone()),
             graph_ids: Arc::new(batch.graph_ids.clone()),
-            inv_degree,
+            inv_degree: Arc::new(inv_degree),
             num_graphs: batch.num_graphs,
         }
+    }
+
+    /// The `[n, 3]` coordinate matrix as a tensor drawn from the calling
+    /// thread's buffer pool.
+    pub fn coords_tensor(&self) -> Tensor {
+        Tensor::from_fn(&[self.num_nodes(), 3], |i| self.coords[i])
+    }
+
+    /// The `[n, 1]` inverse-degree column as a tensor drawn from the
+    /// calling thread's buffer pool.
+    pub fn inv_degree_tensor(&self) -> Tensor {
+        Tensor::from_fn(&[self.num_nodes(), 1], |i| self.inv_degree[i])
     }
 
     /// Total node count.
@@ -78,11 +95,14 @@ mod tests {
         assert_eq!(input.num_nodes(), 3);
         assert_eq!(input.num_edges(), 2);
         assert_eq!(input.num_graphs, 2);
-        assert_eq!(input.coords.shape(), &[3, 3]);
-        assert_eq!(input.coords.at2(2, 1), 2.0);
+        let coords = input.coords_tensor();
+        assert_eq!(coords.shape(), &[3, 3]);
+        assert_eq!(coords.at2(2, 1), 2.0);
         // Degrees: nodes 0 and 1 have one out-edge, node 2 none.
-        assert_eq!(input.inv_degree.at(0), 0.5);
-        assert_eq!(input.inv_degree.at(2), 1.0);
+        let inv_degree = input.inv_degree_tensor();
+        assert_eq!(inv_degree.shape(), &[3, 1]);
+        assert_eq!(inv_degree.at(0), 0.5);
+        assert_eq!(inv_degree.at(2), 1.0);
         assert_eq!(&*input.graph_ids, &[0, 0, 1]);
     }
 }

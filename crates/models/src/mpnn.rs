@@ -104,7 +104,7 @@ impl Encoder for MpnnEncoder {
     ) -> Var {
         let n = input.num_nodes();
         let species = self.embedding.forward(g, ps, input.species.clone());
-        let coords = g.input(input.coords.clone());
+        let coords = g.input(input.coords_tensor());
         let pos_feat = self.coord_proj.forward(g, ps, coords);
         let mut h = g.add(species, pos_feat);
 
@@ -193,7 +193,7 @@ mod tests {
     fn generic_encode(enc: &MpnnEncoder, g: &mut Graph, ps: &ParamSet, input: &ModelInput) -> Var {
         let n = input.num_nodes();
         let species = enc.embedding.forward(g, ps, input.species.clone());
-        let coords = g.input(input.coords.clone());
+        let coords = g.input(input.coords_tensor());
         let pos_feat = enc.coord_proj.forward(g, ps, coords);
         let mut h = g.add(species, pos_feat);
         for layer in &enc.layers {

@@ -6,10 +6,15 @@
 //! passes (and two intermediate tensors) over the `[m, n]` output. The
 //! kernels here compute the same result in a single sweep: each output
 //! row is accumulated with the same contiguous-axpy panel kernel the
-//! generic matmul uses, then the bias add and activation are applied to
-//! the row while it is still L1-resident, storing both the
-//! pre-activation `z` (needed by the backward pass) and the activated
-//! `y` without materializing intermediates.
+//! generic matmul uses, then the bias add and activation epilogue
+//! (`act_row`) run over the row while it is still L1-resident.
+//!
+//! **The forward sweep saves the derivative.** The epilogue writes the
+//! activated `y` and overwrites the pre-activation `z` — which nothing
+//! reads afterwards — with `act'(z)`, so the backward pass is the single
+//! multiply `g · act'(z)` ([`act_backward`]): no transcendental and no
+//! branch runs twice per element. For SiLU, sigmoid and SELU one libm
+//! `exp` per element serves both the value and the derivative.
 //!
 //! **Bit-exactness is a hard contract.** Every kernel reproduces the
 //! per-element accumulation order of its unfused counterpart in
@@ -30,13 +35,13 @@
 //!   `a` row — `NJ` independent accumulator vectors keep the FMA
 //!   pipeline full where a one-at-a-time `dot` is latency-bound on its
 //!   single reduction chain;
-//! * [`Act::eval`] / [`Act::dz`] are the byte-identical scalar formulas
-//!   the autograd ops use (shared from here so there is one source).
+//! * `act_row` writes exactly [`Act::eval`] / [`Act::dz`] — the
+//!   byte-identical scalar formulas the autograd ops use (shared from
+//!   here so there is one source) — element for element, on every SIMD
+//!   tier and with SIMD off.
 //!
 //! The blocked kernels are used **only** by the fused path; the generic
-//! `matmul` / `matmul_tn` / `matmul_nt` methods are untouched, so the
-//! pre-fusion code path (and the `fwdbwd` bench's seed arm) behaves
-//! exactly as before this optimization.
+//! `matmul` / `matmul_tn` / `matmul_nt` methods keep their own loops.
 
 use rayon::prelude::*;
 
@@ -157,9 +162,11 @@ const MR: usize = 4;
 
 /// Fused linear forward: `z = x @ w (+ bias)`, `y = act(z)`.
 ///
-/// Shapes: `x: [m, k]`, `w: [k, n]`, `bias: [n]`. Returns `(z, y)`; for
-/// [`Act::Identity`] the two share one buffer (`y` is an O(1) clone).
-pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, act: Act) -> (Tensor, Tensor) {
+/// Shapes: `x: [m, k]`, `w: [k, n]`, `bias: [n]`. Returns `(y, dact)`:
+/// `dact = act'(z)` is written over `z`'s buffer by the same sweep, and is
+/// what [`act_backward`] multiplies the output gradient by. For
+/// [`Act::Identity`] there is no derivative to save and `dact` is `None`.
+pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, act: Act) -> (Tensor, Option<Tensor>) {
     assert_eq!(x.ndim(), 2, "fused linear: x must be 2-D, got {:?}", x.shape());
     assert_eq!(w.ndim(), 2, "fused linear: w must be 2-D, got {:?}", w.shape());
     let (m, k) = (x.dim(0), x.dim(1));
@@ -202,8 +209,7 @@ pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, act: Act) -> (Tenso
                 rows_kernel(chunk, None, panel * ROW_PANEL, chunk.len() / n);
             });
         }
-        let y = z.clone();
-        return (z, y);
+        return (z, None);
     }
 
     let mut y = Tensor::zeros(&[m, n]);
@@ -226,7 +232,7 @@ pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, act: Act) -> (Tenso
             });
         }
     }
-    (z, y)
+    (y, Some(z))
 }
 
 /// `a^T @ b` for `[k, m] x [k, n] -> [m, n]`, row-blocked, bit-identical
@@ -299,15 +305,94 @@ pub fn matmul_nt_blocked(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// One fused backward sweep for the activation: `dz[i] = g[i] * act'(z[i])`
-/// — the same two factors the unfused path multiplies (it materializes
-/// `act'(z)` as a tensor first; the product's bits are identical). For
-/// [`Act::Identity`] this is an O(1) clone of `g`.
-pub fn act_backward(g: &Tensor, z: &Tensor, act: Act) -> Tensor {
-    if act == Act::Identity {
-        return g.clone();
+/// The activation's share of the fused backward: `dz = g · act'(z)`,
+/// one multiply per element against the derivative [`linear`] saved —
+/// the same two factors, hence the same bits, as the unfused path's
+/// `g.mul(act'(z))`. With no saved derivative ([`Act::Identity`]) this
+/// is an O(1) clone of `g`.
+pub fn act_backward(g: &Tensor, dact: Option<&Tensor>) -> Tensor {
+    match dact {
+        Some(d) => g.mul(d),
+        None => g.clone(),
     }
-    g.zip_map(z, |gv, zv| gv * act.dz(zv))
+}
+
+/// The fused linear's activation epilogue over one row: writes
+/// `y[j] = act.eval(z[j])` and overwrites `z[j]` with `act.dz(z[j])`,
+/// bit for bit.
+///
+/// Both sigmoid branches call `exp` on `-|z|`; the first pass computes
+/// that argument with the same sign select as [`sigmoid`], so its bits
+/// match the branch the reference takes. That pass makes the row's libm
+/// calls — one `exp` (SiLU, sigmoid, SELU) or `tanh` per element — and
+/// parks the results in `y`.
+/// The second pass is branch-free selects, divides and multiplies that
+/// the compiler vectorizes, each expression keeping the reference's
+/// operation order (no FMA). `Relu` needs one pass; `Identity` copies
+/// and writes the constant derivative.
+pub(crate) fn act_row(act: Act, z: &mut [f32], y: &mut [f32]) {
+    debug_assert_eq!(z.len(), y.len());
+    // Pass one for the sigmoid family: `exp(-|z|)` into `y`.
+    fn exp_neg_abs(z: &[f32], y: &mut [f32]) {
+        for (e, &zv) in y.iter_mut().zip(z) {
+            *e = (if zv >= 0.0 { -zv } else { zv }).exp();
+        }
+    }
+    // `sigmoid(z)` from `e = exp(-|z|)`: both branches of
+    // [`sigmoid`] divide by `1 + e`, only the numerator differs.
+    #[inline(always)]
+    fn sig(zv: f32, e: f32) -> f32 {
+        (if zv >= 0.0 { 1.0 } else { e }) / (1.0 + e)
+    }
+    match act {
+        Act::Identity => {
+            y.copy_from_slice(z);
+            z.fill(1.0);
+        }
+        Act::Silu => {
+            exp_neg_abs(z, y);
+            for (yv, zv) in y.iter_mut().zip(z.iter_mut()) {
+                let s = sig(*zv, *yv);
+                *yv = *zv * s;
+                *zv = s * (1.0 + *zv * (1.0 - s));
+            }
+        }
+        Act::Sigmoid => {
+            exp_neg_abs(z, y);
+            for (yv, zv) in y.iter_mut().zip(z.iter_mut()) {
+                let s = sig(*zv, *yv);
+                *yv = s;
+                *zv = s * (1.0 - s);
+            }
+        }
+        Act::Selu => {
+            // The reference only calls `exp` off the positive branch;
+            // feeding `0.0` there keeps the call cheap and the select
+            // discards it.
+            for (e, &zv) in y.iter_mut().zip(z.iter()) {
+                *e = (if zv > 0.0 { 0.0 } else { zv }).exp();
+            }
+            for (yv, zv) in y.iter_mut().zip(z.iter_mut()) {
+                let (pos, e) = (*zv > 0.0, *yv);
+                *yv = if pos { SELU_SCALE * *zv } else { SELU_SCALE * SELU_ALPHA * (e - 1.0) };
+                *zv = if pos { SELU_SCALE } else { SELU_SCALE * SELU_ALPHA * e };
+            }
+        }
+        Act::Relu => {
+            for (yv, zv) in y.iter_mut().zip(z.iter_mut()) {
+                *yv = zv.max(0.0);
+                *zv = if *zv > 0.0 { 1.0 } else { 0.0 };
+            }
+        }
+        Act::Tanh => {
+            for (t, &zv) in y.iter_mut().zip(z.iter()) {
+                *t = zv.tanh();
+            }
+            for (&t, zv) in y.iter().zip(z.iter_mut()) {
+                *zv = 1.0 - t * t;
+            }
+        }
+    }
 }
 
 struct SendPtr(*mut f32);
@@ -326,9 +411,10 @@ impl SendPtr {
 /// Compute output rows `[r0, r0+rows)` of the fused linear: [`MR`]-row
 /// blocks accumulate with the generic axpy order (each streamed `w` row
 /// feeds every row of the block while cache-hot), then the bias add and
-/// activation run over the block while it is still resident. `z` (and
-/// `y` when present) are the destination slices covering exactly those
-/// rows; `z` must arrive zeroed (it is the accumulator).
+/// activation epilogue ([`act_row`]) runs over the block while it is
+/// still resident. `z` (and `y` when present) are the destination slices
+/// covering exactly those rows; `z` must arrive zeroed (it is the
+/// accumulator) and leaves holding `act'(z)` when `y` is present.
 #[allow(clippy::too_many_arguments)]
 fn linear_rows(
     a: &[f32],
@@ -362,8 +448,7 @@ fn linear_rows(
                 zrow.iter_mut().zip(bs).for_each(|(zv, &bv)| *zv += bv);
             }
             if let Some(yd) = y.as_deref_mut() {
-                let yrow = &mut yd[(i + rr) * n..(i + rr + 1) * n];
-                yrow.iter_mut().zip(zrow.iter()).for_each(|(yv, &zv)| *yv = act.eval(zv));
+                act_row(act, zrow, &mut yd[(i + rr) * n..(i + rr + 1) * n]);
             }
         }
         i += r;
@@ -528,6 +613,10 @@ mod tests {
 
     const ACTS: [Act; 6] = [Act::Identity, Act::Silu, Act::Selu, Act::Relu, Act::Tanh, Act::Sigmoid];
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn fused_linear_bits_match_unfused_composition() {
         // Odd sizes cross both the full-tile and remainder paths.
@@ -535,30 +624,105 @@ mod tests {
             let x = mat(&[m, k], 1);
             let w = mat(&[k, n], 2);
             let b = mat(&[n], 3);
-            for act in ACTS {
-                let zref = x.matmul(&w).add_row_broadcast(&b);
-                let yref = zref.map(|a| act.eval(a));
-                let (z, y) = linear(&x, &w, Some(&b), act);
-                assert_eq!(z.as_slice(), zref.as_slice(), "z bits {m}x{k}x{n} {act:?}");
-                assert_eq!(y.as_slice(), yref.as_slice(), "y bits {m}x{k}x{n} {act:?}");
-
-                // No-bias case.
-                let zref = x.matmul(&w);
-                let yref = zref.map(|a| act.eval(a));
-                let (z, y) = linear(&x, &w, None, act);
-                assert_eq!(z.as_slice(), zref.as_slice(), "no-bias z bits {m}x{k}x{n} {act:?}");
-                assert_eq!(y.as_slice(), yref.as_slice(), "no-bias y bits {m}x{k}x{n} {act:?}");
+            for bias in [Some(&b), None] {
+                let zref = match bias {
+                    Some(b) => x.matmul(&w).add_row_broadcast(b),
+                    None => x.matmul(&w),
+                };
+                for act in ACTS {
+                    let tag = format!("{m}x{k}x{n} {act:?} bias {}", bias.is_some());
+                    let (y, dact) = linear(&x, &w, bias, act);
+                    let yref = zref.map(|a| act.eval(a));
+                    assert_eq!(bits(y.as_slice()), bits(yref.as_slice()), "y bits {tag}");
+                    match dact {
+                        Some(d) => {
+                            let dref = zref.map(|a| act.dz(a));
+                            assert_eq!(bits(d.as_slice()), bits(dref.as_slice()), "act' {tag}");
+                        }
+                        None => assert_eq!(act, Act::Identity, "no act' saved ({tag})"),
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn identity_linear_shares_one_buffer() {
+    fn identity_linear_saves_no_derivative() {
         let x = mat(&[5, 4], 1);
         let w = mat(&[4, 6], 2);
-        let (z, y) = linear(&x, &w, None, Act::Identity);
-        assert_eq!(z.as_slice(), y.as_slice());
-        assert_eq!(z.as_slice().as_ptr(), y.as_slice().as_ptr(), "Identity y must alias z");
+        let (y, dact) = linear(&x, &w, None, Act::Identity);
+        assert_eq!(bits(y.as_slice()), bits(x.matmul(&w).as_slice()));
+        assert!(dact.is_none(), "Identity has no derivative to save");
+    }
+
+    /// Inputs for the epilogue sweeps: the specials (signed zeros and
+    /// infinities, subnormals, `exp`'s overflow and underflow edges, the
+    /// f32 extremes, NaNs) plus every 9973rd bit pattern.
+    fn sweep_inputs() -> Vec<f32> {
+        let mut v = vec![
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            88.0,
+            -88.0,
+            88.73,
+            -88.73,
+            103.98,
+            -103.98,
+            f32::MAX,
+            f32::MIN,
+            f32::EPSILON,
+            1.0,
+            -1.0,
+        ];
+        v.extend((0..=u32::MAX).step_by(9973).map(f32::from_bits));
+        v
+    }
+
+    #[test]
+    fn act_row_bits_match_eval_and_dz() {
+        use crate::simd::tests::isas;
+        let inputs = sweep_inputs();
+        for act in ACTS {
+            // The helper on raw inputs.
+            let mut d = inputs.clone();
+            let mut y = vec![0.0f32; inputs.len()];
+            act_row(act, &mut d, &mut y);
+            let want_y: Vec<f32> = inputs.iter().map(|&z| act.eval(z)).collect();
+            let want_d: Vec<f32> = inputs.iter().map(|&z| act.dz(z)).collect();
+            assert_eq!(bits(&y), bits(&want_y), "{act:?} act(z), helper");
+            assert_eq!(bits(&d), bits(&want_d), "{act:?} act'(z), helper");
+
+            // The helper as each tier's epilogue: one row `z = 1.0 · w`
+            // (k = 1, no bias) through the scalar rows (SIMD off) and
+            // the lane body of every runnable ISA.
+            let zref: Vec<f32> = inputs.iter().map(|&w| 0.0 + 1.0 * w).collect();
+            let want_y: Vec<f32> = zref.iter().map(|&z| act.eval(z)).collect();
+            let want_d: Vec<f32> = zref.iter().map(|&z| act.dz(z)).collect();
+            let n = inputs.len();
+            let mut tiers: Vec<Option<simd::Isa>> = vec![None];
+            tiers.extend(isas().into_iter().map(Some));
+            for tier in tiers {
+                let mut z = vec![0.0f32; n];
+                let mut y = vec![0.0f32; n];
+                let (w, yd) = (&inputs, Some(&mut y[..]));
+                match tier {
+                    None => linear_rows(&[1.0], w, None, act, &mut z, yd, 0, 1, 1, n),
+                    Some(isa) => {
+                        simd::linear_rows_lanes(&[1.0], w, None, act, &mut z, yd, 0, 1, 1, n, isa)
+                    }
+                }
+                assert_eq!(bits(&y), bits(&want_y), "{act:?} act(z), tier {tier:?}");
+                assert_eq!(bits(&z), bits(&want_d), "{act:?} act'(z), tier {tier:?}");
+            }
+        }
     }
 
     #[test]
@@ -591,14 +755,17 @@ mod tests {
 
     #[test]
     fn act_backward_bits_match_two_pass_formula() {
-        let z = mat(&[9, 7], 8);
+        let x = mat(&[9, 5], 8);
+        let w = mat(&[5, 7], 10);
         let g = mat(&[9, 7], 9);
+        let z = x.matmul(&w);
         for act in ACTS {
-            let d = z.map(|a| act.dz(a));
-            let expected = g.mul(&d);
+            // The unfused VJP: materialize act'(z), then multiply.
+            let expected = g.mul(&z.map(|a| act.dz(a)));
+            let (_, dact) = linear(&x, &w, None, act);
             assert_eq!(
-                act_backward(&g, &z, act).as_slice(),
-                expected.as_slice(),
+                bits(act_backward(&g, dact.as_ref()).as_slice()),
+                bits(expected.as_slice()),
                 "{act:?}"
             );
         }

@@ -503,8 +503,9 @@ macro_rules! with_rows {
 /// Lane-accelerated body of the fused linear forward for output rows
 /// `[r0, r0 + rows)` — the drop-in peer of `fused::linear_rows`
 /// (same contract: `z` arrives zeroed and covers exactly those rows,
-/// `y` optional, bias added once after the full sum, activation reads
-/// the final `z`). Per-element accumulation order is the canonical
+/// `y` optional, bias added once after the full sum, the
+/// `fused::act_row` epilogue reads the final `z` and leaves `act'(z)` in
+/// its place). Per-element accumulation order is the canonical
 /// increasing-`p` chain with the `av != 0.0` skip, held in vector
 /// registers instead of re-walking `z` through the store buffer for
 /// every `p` — that is the whole speedup.
@@ -546,10 +547,7 @@ pub(crate) fn linear_rows_lanes(
                 vadd(zrow, bs, isa);
             }
             if let Some(yd) = y.as_deref_mut() {
-                let yrow = &mut yd[(i + rr) * n..(i + rr + 1) * n];
-                yrow.iter_mut()
-                    .zip(zrow.iter())
-                    .for_each(|(yv, &zv)| *yv = act.eval(zv));
+                crate::fused::act_row(act, zrow, &mut yd[(i + rr) * n..(i + rr + 1) * n]);
             }
         }
         i += r;
@@ -559,7 +557,8 @@ pub(crate) fn linear_rows_lanes(
 /// Wide-FMA body of the forward linear/gemm for output rows
 /// `[r0, r0 + rows)` — the **reduced-precision inference tier's** peer
 /// of [`linear_rows_lanes`]. Same contract (`z` zeroed, `y` optional,
-/// bias added once after the sum, activation reads the final `z`), but
+/// bias added once after the sum, activation reads the final `z` and
+/// leaves `act'(z)` in its place), but
 /// the accumulation order is *unpinned*: 8-wide AVX2 strips with fused
 /// multiply-add, two-way `k` unrolling in the 8-column strip, and no
 /// zero-skip branch. Outputs are tolerance-checked against the exact
@@ -601,34 +600,32 @@ pub(crate) fn linear_rows_wide(
                 zrow.iter_mut().zip(bs).for_each(|(zv, &b)| *zv += b);
             }
             if let Some(yd) = y.as_deref_mut() {
-                let yrow = &mut yd[(i + rr) * n..(i + rr + 1) * n];
-                act_rows_wide(act, zrow, yrow);
+                act_rows_wide(act, zrow, &mut yd[(i + rr) * n..(i + rr + 1) * n]);
             }
         }
         i += r;
     }
 }
 
-/// Wide-tier activation row: 8-lane AVX2+FMA fast approximations for
-/// the transcendental activations (`exp` via a degree-6 exp2
-/// polynomial, relative error ~1e-7 — two orders of magnitude below
-/// even the wide gemm's reorder-rounding drift and four below f16
-/// storage rounding), exact vector max / copy for `Relu` / `Identity`.
-/// The scalar tail (`len % 8`) and every non-x86 element use the exact
-/// [`Act::eval`](crate::fused::Act::eval). Only reached from
+/// Wide-tier activation row: writes `y = act(z)` and overwrites `z`
+/// with `act'(z)`, like the exact `fused::act_row`, using 8-lane
+/// AVX2+FMA fast approximations for the transcendental activations
+/// (`exp` via a degree-6 exp2 polynomial, relative error ~1e-7 — two
+/// orders of magnitude below even the wide gemm's reorder-rounding
+/// drift and four below f16 storage rounding), exact vector max / copy
+/// for `Relu` / `Identity`. The scalar tail (`len % 8`) and every
+/// non-x86 element take the exact `fused::act_row`. Only reached from
 /// [`linear_rows_wide`] after [`dispatch_wide`] — the pinned-lane and
 /// scalar paths keep the exact transcendentals, so the training
 /// contract never sees this code.
-pub(crate) fn act_rows_wide(act: crate::fused::Act, z: &[f32], y: &mut [f32]) {
+pub(crate) fn act_rows_wide(act: crate::fused::Act, z: &mut [f32], y: &mut [f32]) {
     debug_assert_eq!(z.len(), y.len());
     // SAFETY: dispatch_wide verified AVX2 + FMA before the tier ran.
     #[cfg(target_arch = "x86_64")]
     let done = unsafe { x86::wide_act_rows(act, z, y) };
     #[cfg(not(target_arch = "x86_64"))]
     let done = 0;
-    for j in done..z.len() {
-        y[j] = act.eval(z[j]);
-    }
+    crate::fused::act_row(act, &mut z[done..], &mut y[done..]);
 }
 
 /// Column-tile dispatcher for the wide-FMA tier: 16- then 8-column
@@ -1430,73 +1427,77 @@ mod x86 {
     }
 
     /// Vectorized activation for the wide tier: processes `len & !7`
-    /// elements 8 at a time and returns that count; the caller finishes
-    /// the tail with the exact scalar form. `Relu`/`Identity` are exact
-    /// here too (max / copy); the transcendentals ride [`wide_exp`] /
-    /// [`wide_sigmoid`] (`tanh(x) = 2σ(2x) − 1`).
+    /// elements 8 at a time — `y = act(z)`, `z = act'(z)` — and returns
+    /// that count; the caller finishes the tail with the exact scalar
+    /// form. `Relu`/`Identity` are exact here too (max / copy); the
+    /// transcendentals ride [`wide_exp`] / [`wide_sigmoid`]
+    /// (`tanh(x) = 2σ(2x) − 1`), and each derivative is the `Act::dz`
+    /// expression over those approximations.
     ///
     /// # Safety
     /// Caller must have verified AVX2 + FMA; `z` and `y` must be the
     /// same length.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn wide_act_rows(act: crate::fused::Act, z: &[f32], y: &mut [f32]) -> usize {
+    pub(super) unsafe fn wide_act_rows(
+        act: crate::fused::Act,
+        z: &mut [f32],
+        y: &mut [f32],
+    ) -> usize {
         use crate::fused::{Act, SELU_ALPHA, SELU_SCALE};
         let n8 = z.len() & !7;
-        let zp = z.as_ptr();
+        let zp = z.as_mut_ptr();
         let yp = y.as_mut_ptr();
+        let one = _mm256_set1_ps(1.0);
+        let zero = _mm256_setzero_ps();
+        // One 8-lane step per group, `$v -> ($act, $dact)`, expanded in
+        // place so every intrinsic inlines under this function's target
+        // features.
+        macro_rules! sweep {
+            (|$v:ident| $body:expr) => {{
+                let mut i = 0;
+                while i < n8 {
+                    let $v = _mm256_loadu_ps(zp.add(i));
+                    let (a, d) = $body;
+                    _mm256_storeu_ps(yp.add(i), a);
+                    _mm256_storeu_ps(zp.add(i), d);
+                    i += 8;
+                }
+            }};
+        }
         match act {
-            Act::Identity => y[..n8].copy_from_slice(&z[..n8]),
-            Act::Relu => {
-                let zero = _mm256_setzero_ps();
-                let mut i = 0;
-                while i < n8 {
-                    let v = _mm256_loadu_ps(zp.add(i));
-                    _mm256_storeu_ps(yp.add(i), _mm256_max_ps(v, zero));
-                    i += 8;
-                }
-            }
-            Act::Silu => {
-                let mut i = 0;
-                while i < n8 {
-                    let v = _mm256_loadu_ps(zp.add(i));
-                    _mm256_storeu_ps(yp.add(i), _mm256_mul_ps(v, wide_sigmoid(v)));
-                    i += 8;
-                }
-            }
-            Act::Sigmoid => {
-                let mut i = 0;
-                while i < n8 {
-                    let v = _mm256_loadu_ps(zp.add(i));
-                    _mm256_storeu_ps(yp.add(i), wide_sigmoid(v));
-                    i += 8;
-                }
-            }
+            Act::Identity => sweep!(|v| (v, one)),
+            Act::Relu => sweep!(|v| {
+                let d = _mm256_and_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(v, zero), one);
+                (_mm256_max_ps(v, zero), d)
+            }),
+            Act::Silu => sweep!(|v| {
+                let s = wide_sigmoid(v);
+                let d = _mm256_mul_ps(s, _mm256_fmadd_ps(v, _mm256_sub_ps(one, s), one));
+                (_mm256_mul_ps(v, s), d)
+            }),
+            Act::Sigmoid => sweep!(|v| {
+                let s = wide_sigmoid(v);
+                (s, _mm256_mul_ps(s, _mm256_sub_ps(one, s)))
+            }),
             Act::Tanh => {
                 let two = _mm256_set1_ps(2.0);
-                let one = _mm256_set1_ps(1.0);
-                let mut i = 0;
-                while i < n8 {
-                    let v = _mm256_loadu_ps(zp.add(i));
-                    let s = wide_sigmoid(_mm256_mul_ps(two, v));
-                    _mm256_storeu_ps(yp.add(i), _mm256_fmsub_ps(two, s, one));
-                    i += 8;
-                }
+                sweep!(|v| {
+                    let t = _mm256_fmsub_ps(two, wide_sigmoid(_mm256_mul_ps(two, v)), one);
+                    (t, _mm256_fnmadd_ps(t, t, one))
+                })
             }
             Act::Selu => {
                 let scale = _mm256_set1_ps(SELU_SCALE);
                 let scale_alpha = _mm256_set1_ps(SELU_SCALE * SELU_ALPHA);
-                let one = _mm256_set1_ps(1.0);
-                let zero = _mm256_setzero_ps();
-                let mut i = 0;
-                while i < n8 {
-                    let v = _mm256_loadu_ps(zp.add(i));
-                    let pos = _mm256_mul_ps(scale, v);
-                    let neg =
-                        _mm256_mul_ps(scale_alpha, _mm256_sub_ps(wide_exp(v), one));
+                sweep!(|v| {
+                    let e = wide_exp(v);
                     let is_pos = _mm256_cmp_ps::<_CMP_GT_OQ>(v, zero);
-                    _mm256_storeu_ps(yp.add(i), _mm256_blendv_ps(neg, pos, is_pos));
-                    i += 8;
-                }
+                    let neg = _mm256_mul_ps(scale_alpha, _mm256_sub_ps(e, one));
+                    (
+                        _mm256_blendv_ps(neg, _mm256_mul_ps(scale, v), is_pos),
+                        _mm256_blendv_ps(_mm256_mul_ps(scale_alpha, e), scale, is_pos),
+                    )
+                })
             }
         }
         n8
@@ -1715,15 +1716,16 @@ mod x86 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// The wide-tier vectorized activations are *approximations* (fast
-    /// `exp`), but they must track the exact scalar forms far inside the
-    /// tier's tolerance story: ~1e-7 relative, which this test bounds at
-    /// 1e-5 absolute-plus-relative over a sweep covering both clamp
-    /// edges, zero, denormal-small inputs, and an odd length that forces
-    /// the scalar tail. `Relu`/`Identity` must be exact.
+    /// The wide-tier vectorized activations and their derivatives are
+    /// *approximations* (fast `exp`), but they must track the exact
+    /// scalar forms far inside the tier's tolerance story: ~1e-7
+    /// relative, which this test bounds at 1e-5 absolute-plus-relative
+    /// over a sweep covering both clamp edges, zero, denormal-small
+    /// inputs, and an odd length that forces the scalar tail.
+    /// `Relu`/`Identity` must be exact.
     #[test]
     fn wide_activations_track_exact_eval() {
         use crate::fused::Act;
@@ -1733,19 +1735,21 @@ mod tests {
         z.extend_from_slice(&[0.0, -0.0, 1e-30, -1e-30, 1e3, -1e3, 1e30, -1e30, 87.9, -86.9]);
         for act in ACTS {
             let mut y = vec![0.0f32; z.len()];
-            act_rows_wide(act, &z, &mut y);
-            for (&zi, &yi) in z.iter().zip(&y) {
-                let want = act.eval(zi);
-                if matches!(act, Act::Identity | Act::Relu) {
-                    // Numeric equality: IEEE maxNum leaves max(-0.0, 0.0)
-                    // sign unspecified, and scalar `f32::max` and
-                    // `_mm256_max_ps` disagree on it.
-                    assert_eq!(yi, want, "{act:?}({zi}) must be exact");
-                } else {
-                    assert!(
-                        (yi - want).abs() <= 1e-5 + want.abs() * 1e-5,
-                        "{act:?}({zi}): got {yi:e}, want {want:e}"
-                    );
+            let mut d = z.clone();
+            act_rows_wide(act, &mut d, &mut y);
+            for ((&zi, &yi), &di) in z.iter().zip(&y).zip(&d) {
+                for (what, got, want) in [("act", yi, act.eval(zi)), ("act'", di, act.dz(zi))] {
+                    if matches!(act, Act::Identity | Act::Relu) {
+                        // Numeric equality: IEEE maxNum leaves max(-0.0, 0.0)
+                        // sign unspecified, and scalar `f32::max` and
+                        // `_mm256_max_ps` disagree on it.
+                        assert_eq!(got, want, "{act:?} {what}({zi}) must be exact");
+                    } else {
+                        assert!(
+                            (got - want).abs() <= 1e-5 + want.abs() * 1e-5,
+                            "{act:?} {what}({zi}): got {got:e}, want {want:e}"
+                        );
+                    }
                 }
             }
         }
@@ -1761,7 +1765,7 @@ mod tests {
 
     /// ISAs actually runnable here. Empty off x86-64 (the wrappers are
     /// scalar there, so the comparisons would be trivially true anyway).
-    fn isas() -> Vec<Isa> {
+    pub(crate) fn isas() -> Vec<Isa> {
         #[cfg(target_arch = "x86_64")]
         {
             let mut v = vec![Isa::Sse];
@@ -2017,6 +2021,7 @@ mod tests {
                 .for_each(|(o, &v)| *o += v);
         }
         let yr: Vec<f32> = zr.iter().map(|&z| crate::fused::Act::Silu.eval(z)).collect();
+        let dr: Vec<f32> = zr.iter().map(|&z| crate::fused::Act::Silu.dz(z)).collect();
         for &isa in &isas() {
             let mut z = vec![0.0f32; rows * n];
             let mut y = vec![0.0f32; rows * n];
@@ -2033,8 +2038,13 @@ mod tests {
                 n,
                 isa,
             );
-            assert_bits_eq(&z, &zr, "linear z (bias)");
+            assert_bits_eq(&z, &dr, "linear dact (silu, bias)");
             assert_bits_eq(&y, &yr, "linear y (silu)");
+            // Without an epilogue the bias-added pre-activation stays.
+            let mut z = vec![0.0f32; rows * n];
+            let id = crate::fused::Act::Identity;
+            linear_rows_lanes(&a, &w, Some(&bias), id, &mut z, None, 0, rows, k, n, isa);
+            assert_bits_eq(&z, &zr, "linear z (bias)");
         }
     }
 

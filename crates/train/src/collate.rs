@@ -92,7 +92,7 @@ pub fn collate_ranks(samples: &[Sample], per_rank: usize) -> Vec<Batch> {
 /// Transforms are deterministic by contract (see
 /// [`matsciml_datasets::DataLoader::spawn_readahead`]), so the same index
 /// list always materializes the same samples and the cached [`Batch`] —
-/// including the built edge CSR and inv-degree tensors inside its
+/// including the built edge CSR and inverse degrees inside its
 /// [`ModelInput`] — is exactly what a fresh collate would produce.
 ///
 /// Hits happen when a schedule revisits an identical index list: fixed-
@@ -250,8 +250,8 @@ mod tests {
             assert_eq!(batch.input.src, direct.input.src);
             assert_eq!(batch.input.dst, direct.input.dst);
             assert_eq!(
-                batch.input.inv_degree.as_slice(),
-                direct.input.inv_degree.as_slice()
+                batch.input.inv_degree,
+                direct.input.inv_degree
             );
             assert_eq!(batch.datasets, direct.datasets);
         }
@@ -281,8 +281,8 @@ mod tests {
             assert_eq!(cached.input.src, fresh.input.src);
             assert_eq!(cached.input.dst, fresh.input.dst);
             assert_eq!(
-                cached.input.inv_degree.as_slice(),
-                fresh.input.inv_degree.as_slice()
+                cached.input.inv_degree,
+                fresh.input.inv_degree
             );
             assert_eq!(cached.datasets, fresh.datasets);
         }

@@ -48,6 +48,10 @@ echo "== tier-1: tests again with the SIMD lane tier disabled =="
 # vector path — the whole suite runs green in both modes.
 MATSCIML_SIMD=0 cargo test -q
 MATSCIML_SIMD=0 cargo test -q --workspace
+# The debug runs above leave the scalar tier's loops unvectorized; the
+# release build vectorizes them (the fused linear's activation epilogue
+# among them), so the golden digests run there too.
+MATSCIML_SIMD=0 cargo test -q --release -p matsciml-train --test golden_digests
 
 echo "== reduced-precision tier: a stray environment cannot arm it in training =="
 # The f16/bf16 wide-FMA tier is selected only by ServeConfig::precision

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use matsciml_tensor::Tensor;
+use matsciml_tensor::{Precision, Tensor};
 
 /// Handle to a node in a [`Graph`]. Cheap to copy; only valid for the graph
 /// that created it.
@@ -102,8 +102,16 @@ pub(crate) struct Node {
 }
 
 /// A define-by-run tape. See the crate docs for the lifecycle.
+///
+/// The tape carries the [`Precision`] its forward gemms run at
+/// ([`Graph::linear`], [`Graph::matmul`]). A new or [reset](Graph::reset)
+/// tape runs at [`Precision::F32`], the exact pinned-order kernels, so
+/// training is bit-exact by construction; only a caller that records a
+/// quantized model's inference forward raises it
+/// ([`Graph::set_precision`]), and the choice ends with that tape.
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
+    pub(crate) precision: Precision,
 }
 
 impl Default for Graph {
@@ -115,7 +123,16 @@ impl Default for Graph {
 impl Graph {
     /// An empty tape.
     pub fn new() -> Self {
-        Graph { nodes: Vec::with_capacity(256) }
+        Graph { nodes: Vec::with_capacity(256), precision: Precision::F32 }
+    }
+
+    /// Run this tape's forward gemms at `precision`. Anything but
+    /// [`Precision::F32`] hands them to the reduced-precision wide tier,
+    /// whose outputs are tolerance-checked, never bit-compared — meant
+    /// for the inference forward of a model quantized to that precision.
+    /// Lasts until the next [`Graph::reset`].
+    pub fn set_precision(&mut self, precision: Precision) {
+        self.precision = precision;
     }
 
     /// Clear the tape for reuse without releasing its node arena.
@@ -126,9 +143,10 @@ impl Graph {
     /// keeps its capacity. A long-lived graph `reset` between
     /// micro-batches therefore records its next tape with zero allocator
     /// traffic: node slots reuse the arena, tensor buffers reuse the
-    /// pool.
+    /// pool. The precision returns to [`Precision::F32`].
     pub fn reset(&mut self) {
         self.nodes.clear();
+        self.precision = Precision::F32;
     }
 
     /// Number of recorded nodes.

@@ -44,9 +44,11 @@ impl Graph {
         self.push(v, Op::Scale(a, s))
     }
 
-    /// Matrix product `[m,k] @ [k,n]`.
+    /// Matrix product `[m,k] @ [k,n]`, at the tape's precision: the
+    /// [`Act::Identity`] forward of [`fused::linear`], bit-identical to
+    /// [`Tensor::matmul`] at [`Precision::F32`](matsciml_tensor::Precision::F32).
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul(self.value(b));
+        let (v, _) = fused::linear(self.value(a), self.value(b), None, Act::Identity, self.precision);
         self.push(v, Op::Matmul(a, b))
     }
 
@@ -59,13 +61,14 @@ impl Graph {
     /// exactly). The forward sweep also writes the activation derivative
     /// `act'(z)` over the pre-activation's buffer and the node caches it,
     /// so the backward pass multiplies instead of re-evaluating the
-    /// activation; [`Act::Identity`] caches nothing.
+    /// activation; [`Act::Identity`] caches nothing. The gemm runs at
+    /// the tape's precision ([`Graph::set_precision`]).
     pub fn linear(&mut self, x: Var, w: Var, b: Option<Var>, act: Act) -> Var {
         let (y, dact) = {
             let vx = self.value(x);
             let vw = self.value(w);
             let vb = b.map(|bv| self.value(bv));
-            fused::linear(vx, vw, vb, act)
+            fused::linear(vx, vw, vb, act, self.precision)
         };
         self.push(y, Op::Linear { x, w, b, dact })
     }

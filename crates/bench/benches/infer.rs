@@ -26,7 +26,7 @@ use matsciml::datasets::{Compose, Dataset, DatasetId, SyntheticMaterialsProject,
 use matsciml::models::EgnnConfig;
 use matsciml::nn::ParamId;
 use matsciml::obs::Obs;
-use matsciml::tensor::{max_rel_error, set_infer_precision, set_simd_enabled, Precision};
+use matsciml::tensor::{max_rel_error, set_simd_enabled, Precision};
 use matsciml::train::{
     InferenceServer, ServeConfig, ServeError, TargetKind, TaskHeadConfig, TaskModel,
 };
@@ -195,9 +195,8 @@ fn run_arm(precision: Precision, indices: &[usize], singles: &[Vec<f32>]) -> Mea
 
 fn main() {
     set_simd_enabled(true);
-    set_infer_precision(Precision::F32);
 
-    // Exact reference: every pool entry predicted alone, tier off.
+    // Exact reference: every pool entry predicted alone, at f32.
     let ds = SyntheticMaterialsProject::new(POOL, 21);
     let pipeline = Compose::standard(CUTOFF, MAXN);
     let m = model();
@@ -248,9 +247,6 @@ fn main() {
         }
         m
     });
-    // The arms flip a process-global toggle; leave it where it started.
-    set_infer_precision(Precision::F32);
-
     let arms: Vec<Arm> = precisions
         .iter()
         .zip(reps)

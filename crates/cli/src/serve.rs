@@ -166,7 +166,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
     );
 
     let stop = Arc::new(AtomicBool::new(false));
-    let mut handlers = Vec::new();
+    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -178,6 +178,9 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
                 continue;
             }
         };
+        // Drop the handles of handlers whose clients already hung up, so
+        // a long-lived server holds one handle per open connection only.
+        handlers.retain(|h| !h.is_finished());
         let server = Arc::clone(&server);
         let stop = Arc::clone(&stop);
         let addr = addr.clone();

@@ -92,8 +92,7 @@ pub mod prelude {
     };
     pub use matsciml_symmetry::{all_point_groups, group_by_name, PointGroup, SymmetryConfig};
     pub use matsciml_tensor::{
-        infer_precision, max_rel_error, set_infer_precision, HalfTensor, Mat3, Precision, Tensor,
-        TensorError, Vec3,
+        max_rel_error, HalfTensor, Mat3, Precision, Tensor, TensorError, Vec3,
     };
     pub use matsciml_ckpt::{CkptError, CkptReader, CkptWriter};
     pub use matsciml_train::{

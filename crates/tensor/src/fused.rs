@@ -45,6 +45,7 @@
 
 use rayon::prelude::*;
 
+use crate::half::Precision;
 use crate::matmul::{dot, ROW_PANEL};
 use crate::par::{par_gate, PAR_MIN_FLOPS};
 use crate::simd;
@@ -165,8 +166,20 @@ const MR: usize = 4;
 /// Shapes: `x: [m, k]`, `w: [k, n]`, `bias: [n]`. Returns `(y, dact)`:
 /// `dact = act'(z)` is written over `z`'s buffer by the same sweep, and is
 /// what [`act_backward`] multiplies the output gradient by. For
-/// [`Act::Identity`] there is no derivative to save and `dact` is `None`.
-pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, act: Act) -> (Tensor, Option<Tensor>) {
+/// [`Act::Identity`] there is no derivative to save and `dact` is `None`
+/// (the plain forward matmul, bit-identical to [`Tensor::matmul`] at f32).
+///
+/// `precision` is the precision of the tape this forward belongs to:
+/// [`Precision::F32`] keeps the exact pinned-order kernels; anything
+/// else lets the reduced-precision wide tier take the gemm
+/// (`crate::half`).
+pub fn linear(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&Tensor>,
+    act: Act,
+    precision: Precision,
+) -> (Tensor, Option<Tensor>) {
     assert_eq!(x.ndim(), 2, "fused linear: x must be 2-D, got {:?}", x.shape());
     assert_eq!(w.ndim(), 2, "fused linear: w must be 2-D, got {:?}", w.shape());
     let (m, k) = (x.dim(0), x.dim(1));
@@ -181,10 +194,10 @@ pub fn linear(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, act: Act) -> (Tenso
     let ws = w.as_slice();
     let bs = bias.map(|b| b.as_slice());
     let flops = 2 * m * n * k;
-    // The reduced-precision inference tier (crate::half) takes the
-    // whole forward gemm when armed: FMA strips, unpinned order,
+    // A reduced-precision tape (crate::half) hands the whole forward
+    // gemm to the wide tier: FMA strips, unpinned order,
     // tolerance-checked. Otherwise the exact lane/scalar paths below.
-    let wide = simd::dispatch_wide(m * n * k / 8);
+    let wide = simd::dispatch_wide(precision, m * n * k / 8);
     let isa = if wide { None } else { simd::dispatch(m * n * k / 4) };
 
     // One lowering point for both the serial and panel-parallel paths:
@@ -631,7 +644,7 @@ mod tests {
                 };
                 for act in ACTS {
                     let tag = format!("{m}x{k}x{n} {act:?} bias {}", bias.is_some());
-                    let (y, dact) = linear(&x, &w, bias, act);
+                    let (y, dact) = linear(&x, &w, bias, act, Precision::F32);
                     let yref = zref.map(|a| act.eval(a));
                     assert_eq!(bits(y.as_slice()), bits(yref.as_slice()), "y bits {tag}");
                     match dact {
@@ -650,7 +663,7 @@ mod tests {
     fn identity_linear_saves_no_derivative() {
         let x = mat(&[5, 4], 1);
         let w = mat(&[4, 6], 2);
-        let (y, dact) = linear(&x, &w, None, Act::Identity);
+        let (y, dact) = linear(&x, &w, None, Act::Identity, Precision::F32);
         assert_eq!(bits(y.as_slice()), bits(x.matmul(&w).as_slice()));
         assert!(dact.is_none(), "Identity has no derivative to save");
     }
@@ -762,7 +775,7 @@ mod tests {
         for act in ACTS {
             // The unfused VJP: materialize act'(z), then multiply.
             let expected = g.mul(&z.map(|a| act.dz(a)));
-            let (_, dact) = linear(&x, &w, None, act);
+            let (_, dact) = linear(&x, &w, None, act, Precision::F32);
             assert_eq!(
                 bits(act_backward(&g, dact.as_ref()).as_slice()),
                 bits(expected.as_slice()),

@@ -1,5 +1,5 @@
-//! Reduced-precision storage codecs (f16 / bf16) and the process-wide
-//! inference-precision toggle.
+//! Reduced-precision storage codecs (f16 / bf16) and the [`Precision`]
+//! a model and its tape carry.
 //!
 //! This module is the storage half of the **reduced-precision inference
 //! tier**. The training engine's bit-exactness contract (pinned 4-lane
@@ -10,15 +10,17 @@
 //!   ([`Precision::F16`]) or bfloat16 ([`Precision::Bf16`]) via
 //!   [`HalfTensor`], halving parameter bytes on disk and in checkpoint
 //!   sections (`PRMH` in `matsciml-ckpt`);
-//! * **wide kernels** — when [`infer_precision`] is not
-//!   [`Precision::F32`], the forward gemm/linear kernels dispatch to
-//!   AVX2 + FMA strips with an unpinned reduction order (`simd.rs`,
+//! * **wide kernels** — when the caller passes a precision other than
+//!   [`Precision::F32`] to `fused::linear`, the forward gemm dispatches
+//!   to AVX2 + FMA strips with an unpinned reduction order (`simd.rs`,
 //!   counted by `simd/half_ops`).
 //!
-//! The tier is **opt-in and never the training default**: the toggle
-//! starts at [`Precision::F32`] (exact), and every consumer asserts
-//! outputs against the f32 reference within a tolerance instead of
-//! bit-identity. Conversions round to nearest-even; NaN and ±inf are
+//! The tier is **opt-in and never the training default**: the precision
+//! is a value a quantized model records and hands to the tapes it
+//! records (`Graph::set_precision`), and a fresh or reset tape runs at
+//! [`Precision::F32`] (exact). Every
+//! consumer asserts reduced-precision outputs against the f32
+//! reference within a tolerance instead of bit-identity. Conversions round to nearest-even; NaN and ±inf are
 //! preserved (NaN payloads are truncated, kept non-zero).
 //!
 //! The scalar conversions below are the normative codec: an exhaustive
@@ -30,10 +32,9 @@
 //! reaches a checkpoint).
 
 use crate::tensor::Tensor;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 // ---------------------------------------------------------------------------
-// Precision + toggle
+// Precision
 // ---------------------------------------------------------------------------
 
 /// Numeric precision of the inference tier's parameter storage.
@@ -94,28 +95,6 @@ impl Precision {
             _ => None,
         }
     }
-}
-
-/// The active inference tier, as [`Precision::tag_byte`]. Starts at
-/// [`Precision::F32`]; only [`set_infer_precision`] moves it (the
-/// inference server does so at every start, from `ServeConfig::precision`).
-static PRECISION: AtomicU8 = AtomicU8::new(0);
-
-/// Select the inference storage precision process-wide.
-///
-/// Anything other than [`Precision::F32`] arms the wide FMA forward
-/// kernels (`simd.rs`), whose reduction order is *not* pinned — outputs
-/// are tolerance-checked against the f32 reference, never bit-compared.
-/// The training path must run with [`Precision::F32`] (the default) to
-/// keep its bit-exactness contract.
-pub fn set_infer_precision(precision: Precision) {
-    PRECISION.store(precision.tag_byte(), Ordering::Relaxed);
-}
-
-/// The active inference precision ([`Precision::F32`] until
-/// [`set_infer_precision`] selects another).
-pub fn infer_precision() -> Precision {
-    Precision::from_tag_byte(PRECISION.load(Ordering::Relaxed)).unwrap_or(Precision::F32)
 }
 
 // ---------------------------------------------------------------------------

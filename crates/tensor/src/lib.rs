@@ -57,10 +57,7 @@ mod tensor;
 
 pub use edge::{edge_stats, reset_edge_stats, EdgeStats};
 pub use fused::Act;
-pub use half::{
-    infer_precision, max_rel_error, quantize_tensor_in_place, set_infer_precision, HalfTensor,
-    Precision,
-};
+pub use half::{max_rel_error, quantize_tensor_in_place, HalfTensor, Precision};
 pub use linalg::{Mat3, Vec3};
 pub use pool::{pool_stats, reset_pool_stats, PoolStats};
 pub use simd::{reset_simd_stats, set_simd_enabled, simd_enabled, simd_isa, simd_stats, SimdStats};

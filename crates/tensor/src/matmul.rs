@@ -41,34 +41,14 @@ impl Tensor {
         let a = self.as_slice();
         let b = rhs.as_slice();
         let flops = 2 * m * n * k;
-        // Forward matmul joins the reduced-precision wide tier when it
-        // is armed (crate::half); tn/nt below are backward-only and
-        // always stay on the exact pinned-order paths.
-        let wide = simd::dispatch_wide(m * n * k / 8);
-        let isa = if wide { None } else { simd::dispatch(m * n * k / 4) };
+        let isa = simd::dispatch(m * n * k / 4);
         let dst = out.as_mut_slice();
 
-        let rows_kernel = |r0: usize, rows: usize, chunk: &mut [f32]| {
-            if wide {
-                simd::linear_rows_wide(a, b, None, Act::Identity, chunk, None, r0, rows, k, n)
-            } else {
-                match isa {
-                    Some(isa) => simd::linear_rows_lanes(
-                        a,
-                        b,
-                        None,
-                        Act::Identity,
-                        chunk,
-                        None,
-                        r0,
-                        rows,
-                        k,
-                        n,
-                        isa,
-                    ),
-                    None => matmul_panel(a, b, chunk, r0, rows, k, n),
-                }
+        let rows_kernel = |r0: usize, rows: usize, chunk: &mut [f32]| match isa {
+            Some(isa) => {
+                simd::linear_rows_lanes(a, b, None, Act::Identity, chunk, None, r0, rows, k, n, isa)
             }
+            None => matmul_panel(a, b, chunk, r0, rows, k, n),
         };
         if !par_gate(flops, PAR_MIN_FLOPS) {
             rows_kernel(0, m, dst);

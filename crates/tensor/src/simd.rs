@@ -263,15 +263,15 @@ fn fma_available() -> bool {
 
 /// Kernel-entry dispatch for the reduced-precision **wide tier**
 /// (`crate::half`): answers `true` — and records `lane_groups`
-/// (≈ `elements / 8`) against `simd/half_ops` — only when a non-f32
-/// inference precision is armed, the lane tier is enabled, and the CPU
-/// has AVX2 + FMA. Everywhere else (training default, `MATSCIML_SIMD=0`,
-/// non-x86, pre-Haswell hardware) the caller proceeds to the exact
-/// pinned-order path, so the fallback is bit-identical rather than
-/// merely tolerant.
+/// (≈ `elements / 8`) against `simd/half_ops` — only when the caller's
+/// `precision` (the precision its tape runs at) is not f32, the lane
+/// tier is enabled, and the CPU has AVX2 + FMA. Everywhere else (every
+/// training tape, `MATSCIML_SIMD=0`, non-x86, pre-Haswell hardware) the
+/// caller proceeds to the exact pinned-order path, so the fallback is
+/// bit-identical rather than merely tolerant.
 #[inline]
-pub(crate) fn dispatch_wide(lane_groups: usize) -> bool {
-    if crate::half::infer_precision() == crate::half::Precision::F32 || !simd_enabled() {
+pub(crate) fn dispatch_wide(precision: crate::half::Precision, lane_groups: usize) -> bool {
+    if precision == crate::half::Precision::F32 || !simd_enabled() {
         return false;
     }
     #[cfg(target_arch = "x86_64")]

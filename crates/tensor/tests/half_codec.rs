@@ -6,18 +6,15 @@
 //! bit-equality of the hardware bulk path against the soft codec on
 //! every non-NaN value.
 //!
-//! This file also exercises the wide-FMA kernel tier end to end: the
-//! precision toggle is process-wide, so the toggle-flipping test is a
-//! single `#[test]` that restores the default before returning.
+//! This file also exercises the wide-FMA kernel tier end to end, by
+//! passing a reduced precision to the fused forward.
 
 use matsciml_tensor::half::{
     bf16_bits_to_f32, decode_slice, encode_slice, f16_bits_to_f32, f32_to_bf16_bits,
     f32_to_f16_bits, round_through,
 };
-use matsciml_tensor::{
-    infer_precision, max_rel_error, quantize_tensor_in_place, set_infer_precision, HalfTensor,
-    Precision, Tensor,
-};
+use matsciml_tensor::fused::linear;
+use matsciml_tensor::{max_rel_error, quantize_tensor_in_place, Act, HalfTensor, Precision, Tensor};
 
 fn xorshift(state: &mut u32) -> u32 {
     let mut x = *state;
@@ -271,11 +268,8 @@ fn rel_error_metric_floors_near_zero() {
 #[test]
 fn wide_tier_stays_within_tolerance_and_counts() {
     // The wide-FMA kernels compute the same f32 gemm with an unpinned
-    // order — outputs drift by rounding only. This flips the
-    // process-wide toggle, so it is a single test that restores the
-    // default on every exit path.
-    let before = infer_precision();
-    assert_eq!(before, Precision::F32, "tier must default off");
+    // order — outputs drift by rounding only. The precision is an
+    // argument of the forward, so nothing here outlives the call.
     matsciml_tensor::set_simd_enabled(true);
 
     let mut state = 0x1357_9bdfu32;
@@ -290,16 +284,14 @@ fn wide_tier_stays_within_tolerance_and_counts() {
         let w = mk(k, n, &mut state);
         let b = mk(1, n, &mut state).reshape(&[n]);
 
-        let (y_ref, d_ref) =
-            matsciml_tensor::fused::linear(&x, &w, Some(&b), matsciml_tensor::Act::Silu);
+        let (y_ref, d_ref) = linear(&x, &w, Some(&b), Act::Silu, Precision::F32);
         let mm_ref = x.matmul(&w);
 
-        set_infer_precision(Precision::F16);
         let stats0 = matsciml_tensor::simd_stats();
-        let (y, d) = matsciml_tensor::fused::linear(&x, &w, Some(&b), matsciml_tensor::Act::Silu);
-        let mm = x.matmul(&w);
+        let (y, d) = linear(&x, &w, Some(&b), Act::Silu, Precision::F16);
+        // The tape's matmul node: the identity forward of the same kernel.
+        let (mm, _) = linear(&x, &w, None, Act::Identity, Precision::F16);
         let stats1 = matsciml_tensor::simd_stats();
-        set_infer_precision(Precision::F32);
 
         // The saved SiLU derivative, from the wide tier's approximate
         // sigmoid against the exact one.
@@ -325,8 +317,10 @@ fn wide_tier_stays_within_tolerance_and_counts() {
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = (stats0, stats1);
-    }
 
-    // Toggle restored: subsequent kernels are exact again.
-    assert_eq!(infer_precision(), Precision::F32);
+        // An f32 forward right after stays on the exact kernels.
+        let (y_again, _) = linear(&x, &w, Some(&b), Act::Silu, Precision::F32);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y_again), bits(&y_ref), "f32 forward after an f16 one changed bits");
+    }
 }

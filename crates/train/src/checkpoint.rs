@@ -90,12 +90,7 @@ fn model_from(arch_json: &[u8], params: ParamSet) -> Result<TaskModel, CkptError
             params.len()
         )));
     }
-    Ok(TaskModel {
-        params,
-        encoder: arch.encoder,
-        heads: arch.heads,
-        encoder_param_count: arch.encoder_param_count,
-    })
+    Ok(TaskModel::from_parts(params, arch.encoder, arch.heads, arch.encoder_param_count))
 }
 
 /// A loaded training checkpoint: the rebuilt model plus everything the

@@ -5,6 +5,7 @@ use matsciml_autograd::{Graph, Var};
 use matsciml_datasets::Sample;
 use matsciml_models::{AttentionConfig, AttentionEncoder, EgnnConfig, EgnnEncoder, Encoder, ModelInput, MpnnConfig, MpnnEncoder};
 use matsciml_nn::{ForwardCtx, ParamSet};
+use matsciml_tensor::Precision;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -31,6 +32,14 @@ impl EncoderKind {
             EncoderKind::Egnn(e) => e.out_dim(),
             EncoderKind::Mpnn(e) => e.out_dim(),
             EncoderKind::Attention(e) => e.out_dim(),
+        }
+    }
+
+    fn num_species(&self) -> usize {
+        match self {
+            EncoderKind::Egnn(e) => e.config.num_species,
+            EncoderKind::Mpnn(e) => e.config.num_species,
+            EncoderKind::Attention(e) => e.config.num_species,
         }
     }
 
@@ -62,65 +71,57 @@ pub struct TaskModel {
     /// Number of parameter tensors belonging to the encoder (the
     /// transferable prefix).
     pub encoder_param_count: usize,
+    /// The precision [`TaskModel::quantize_params`] last rounded the
+    /// parameters to, which the inference forwards run at.
+    precision: Precision,
 }
 
 impl TaskModel {
     /// Build an E(n)-GNN model with the given heads.
     pub fn egnn(config: EgnnConfig, head_configs: &[TaskHeadConfig], seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut params = ParamSet::new();
-        let encoder = EgnnEncoder::new(&mut params, config, &mut rng);
-        let encoder_param_count = params.len();
-        let out_dim = encoder.out_dim();
-        let heads = head_configs
-            .iter()
-            .map(|c| TaskHead::new(&mut params, c.clone(), out_dim, &mut rng))
-            .collect();
-        TaskModel {
-            params,
-            encoder: EncoderKind::Egnn(encoder),
-            heads,
-            encoder_param_count,
-        }
+        Self::assemble(head_configs, seed, |ps, rng| EncoderKind::Egnn(EgnnEncoder::new(ps, config, rng)))
     }
 
     /// Build the non-equivariant baseline with the given heads.
     pub fn mpnn(config: MpnnConfig, head_configs: &[TaskHeadConfig], seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut params = ParamSet::new();
-        let encoder = MpnnEncoder::new(&mut params, config, &mut rng);
-        let encoder_param_count = params.len();
-        let out_dim = encoder.out_dim();
-        let heads = head_configs
-            .iter()
-            .map(|c| TaskHead::new(&mut params, c.clone(), out_dim, &mut rng))
-            .collect();
-        TaskModel {
-            params,
-            encoder: EncoderKind::Mpnn(encoder),
-            heads,
-            encoder_param_count,
-        }
+        Self::assemble(head_configs, seed, |ps, rng| EncoderKind::Mpnn(MpnnEncoder::new(ps, config, rng)))
     }
 
     /// Build a point-cloud attention model with the given heads. Feed it
     /// complete-graph batches (`GraphTransform::complete()`).
     pub fn attention(config: AttentionConfig, head_configs: &[TaskHeadConfig], seed: u64) -> Self {
+        Self::assemble(head_configs, seed, |ps, rng| {
+            EncoderKind::Attention(AttentionEncoder::new(ps, config, rng))
+        })
+    }
+
+    /// Register the encoder's parameters first (the transferable
+    /// prefix), then one head per config, all drawn from one seeded RNG.
+    fn assemble(
+        head_configs: &[TaskHeadConfig],
+        seed: u64,
+        encoder: impl FnOnce(&mut ParamSet, &mut StdRng) -> EncoderKind,
+    ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut params = ParamSet::new();
-        let encoder = AttentionEncoder::new(&mut params, config, &mut rng);
+        let encoder = encoder(&mut params, &mut rng);
         let encoder_param_count = params.len();
         let out_dim = encoder.out_dim();
         let heads = head_configs
             .iter()
             .map(|c| TaskHead::new(&mut params, c.clone(), out_dim, &mut rng))
             .collect();
-        TaskModel {
-            params,
-            encoder: EncoderKind::Attention(encoder),
-            heads,
-            encoder_param_count,
-        }
+        TaskModel::from_parts(params, encoder, heads, encoder_param_count)
+    }
+
+    /// A full-precision model over existing parts (checkpoint decode).
+    pub(crate) fn from_parts(
+        params: ParamSet,
+        encoder: EncoderKind,
+        heads: Vec<TaskHead>,
+        encoder_param_count: usize,
+    ) -> Self {
+        TaskModel { params, encoder, heads, encoder_param_count, precision: Precision::F32 }
     }
 
     /// Load a pretrained encoder: copies the encoder-prefix parameters from
@@ -179,11 +180,13 @@ impl TaskModel {
     }
 
     /// Embed samples (eval mode) into `[n, out_dim]` rows — the Fig. 4
-    /// dataset-exploration path.
+    /// dataset-exploration path. Runs at the model's
+    /// [precision](TaskModel::precision).
     pub fn embed(&self, samples: &[Sample]) -> matsciml_tensor::Tensor {
         let batch = collate(samples);
         let mut ctx = ForwardCtx::eval();
         let mut g = Graph::new();
+        g.set_precision(self.precision);
         let emb = self.encoder.encode(&mut g, &self.params, &mut ctx, &batch.input);
         g.value(emb).clone()
     }
@@ -193,20 +196,36 @@ impl TaskModel {
         self.encoder.out_dim()
     }
 
+    /// Species vocabulary: the rows of the encoder's embedding table.
+    /// Every species index fed to the model must be below it.
+    pub fn num_species(&self) -> usize {
+        self.encoder.num_species()
+    }
+
     /// Round every parameter through the given storage precision in
-    /// place (the reduced-precision inference tier's load-time step).
-    /// Returns the worst per-scalar absolute quantization error across
-    /// all parameter tensors. No-op (returning `0.0`) for
-    /// [`matsciml_tensor::Precision::F32`]. Irreversible — intended for
-    /// models about to serve inference, not for training state.
-    pub fn quantize_params(&mut self, precision: matsciml_tensor::Precision) -> f32 {
+    /// place (the reduced-precision inference tier's load-time step) and
+    /// run [`TaskModel::predict`], [`TaskModel::predict_into`] and
+    /// [`TaskModel::embed`] at that precision from then on. Returns the
+    /// worst per-scalar absolute quantization error across all parameter
+    /// tensors. [`Precision::F32`] rounds nothing (returning `0.0`) and
+    /// puts the inference forwards back on the exact kernels.
+    /// Irreversible — intended for models about to serve inference, not
+    /// for training state; training tapes always run at f32.
+    pub fn quantize_params(&mut self, precision: Precision) -> f32 {
         let mut worst = 0.0f32;
         for i in 0..self.params.len() {
             let id = matsciml_nn::ParamId(i);
             let err = matsciml_tensor::quantize_tensor_in_place(self.params.value_mut(id), precision);
             worst = worst.max(err);
         }
+        self.precision = precision;
         worst
+    }
+
+    /// The precision the inference forwards run at: [`Precision::F32`]
+    /// until [`TaskModel::quantize_params`] selects another.
+    pub fn precision(&self) -> Precision {
+        self.precision
     }
 
     /// Raw predictions of head `head_idx` for the given samples (eval
@@ -223,9 +242,11 @@ impl TaskModel {
     /// caller-owned tape. The graph is [reset](Graph::reset) first, so a
     /// long-lived graph threaded through a request loop re-records each
     /// batch with recycled node and buffer storage — the pooled no-alloc
-    /// path the inference server's workers run per coalesced batch.
+    /// path the inference server's workers run per coalesced batch. The
+    /// tape runs at the model's [precision](TaskModel::precision).
     pub fn predict_into(&self, g: &mut Graph, batch: &Batch, head_idx: usize) -> matsciml_tensor::Tensor {
         g.reset();
+        g.set_precision(self.precision);
         let mut ctx = ForwardCtx::eval();
         let embedding = self.encoder.encode(g, &self.params, &mut ctx, &batch.input);
         let pred = self.heads[head_idx].predict(g, &self.params, &mut ctx, embedding);

@@ -33,7 +33,7 @@ use std::time::Instant;
 use matsciml_autograd::Graph;
 use matsciml_datasets::{Compose, Dataset, Sample, Transform};
 use matsciml_obs::Obs;
-use matsciml_tensor::{set_infer_precision, Precision};
+use matsciml_tensor::Precision;
 
 use crate::checkpoint::load_infer_model;
 use crate::collate::{collate, Batch, CollateCache};
@@ -70,11 +70,13 @@ pub struct ServeConfig {
     pub cache_batches: usize,
     /// Inference storage precision (the reduced-precision tier). With
     /// [`Precision::F16`] or [`Precision::Bf16`] the server quantizes
-    /// the model's parameters once at start (and at each reload), arms
-    /// the wide FMA forward kernels process-wide, and serves
+    /// the model's parameters once at start (and at each reload), its
+    /// workers' tapes run the wide FMA forward kernels, and it serves
     /// tolerance-checked rather than bit-exact predictions.
     /// [`Precision::F32`] (the default) keeps serving bit-identical to
-    /// [`TaskModel::predict`].
+    /// [`TaskModel::predict`]. The choice belongs to this server's model
+    /// alone: other servers and training in the same process are not
+    /// affected.
     pub precision: Precision,
 }
 
@@ -99,8 +101,13 @@ pub enum ServeError {
     /// The server is shutting down and accepts no new requests.
     ShuttingDown,
     /// The request itself is invalid (empty, too large, unknown index,
-    /// index-based with no dataset configured).
+    /// index-based with no dataset configured, or a structure the model
+    /// cannot read: a species outside its vocabulary, a species/position
+    /// count mismatch, a non-finite coordinate, an edge to a missing
+    /// atom).
     BadRequest(String),
+    /// The worker serving the request exited without answering it.
+    WorkerDied,
 }
 
 impl std::fmt::Display for ServeError {
@@ -109,6 +116,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Busy => write!(f, "queue full, request rejected (backpressure)"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::BadRequest(why) => write!(f, "bad request: {why}"),
+            ServeError::WorkerDied => write!(f, "a serve worker died without replying"),
         }
     }
 }
@@ -199,12 +207,7 @@ impl InferenceServer {
         assert!(cfg.queue_cap > 0, "queue_cap must be positive");
         assert!(cfg.head < model.heads.len(), "head index out of range");
         let mut model = model;
-        if cfg.precision != Precision::F32 {
-            model.quantize_params(cfg.precision);
-        }
-        // Arm (or explicitly disarm) the wide-kernel tier for this
-        // process — the serving counterpart of `set_simd_enabled`.
-        set_infer_precision(cfg.precision);
+        model.quantize_params(cfg.precision);
         InferenceServer {
             shared: Arc::new(Shared {
                 model: RwLock::new(Arc::new(model)),
@@ -240,14 +243,12 @@ impl InferenceServer {
     /// Rows are `[structure][head out_dim]`, bit-identical to
     /// [`TaskModel::predict`] on the same structures alone.
     pub fn predict_samples(&self, samples: Vec<Sample>) -> Result<Vec<Vec<f32>>, ServeError> {
-        let rx = self.submit(Payload::Samples(samples))?;
-        Ok(rx.recv().expect("a serve worker died without replying"))
+        reply(self.submit(Payload::Samples(samples))?)
     }
 
     /// Predict dataset entries by index; blocks until served.
     pub fn predict_indices(&self, indices: Vec<usize>) -> Result<Vec<Vec<f32>>, ServeError> {
-        let rx = self.submit(Payload::Indices(indices))?;
-        Ok(rx.recv().expect("a serve worker died without replying"))
+        reply(self.submit(Payload::Indices(indices))?)
     }
 
     /// Validate and enqueue one request, returning the response channel.
@@ -262,18 +263,27 @@ impl InferenceServer {
                 self.shared.cfg.max_batch
             )));
         }
-        if let Payload::Indices(indices) = &payload {
-            let Some(ds) = &self.shared.dataset else {
-                return Err(ServeError::BadRequest(
-                    "index-based request but the server has no dataset configured".into(),
-                ));
-            };
-            for &i in indices {
-                if i >= ds.len() {
-                    return Err(ServeError::BadRequest(format!(
-                        "index {i} out of range for dataset of {}",
-                        ds.len()
-                    )));
+        match &payload {
+            Payload::Indices(indices) => {
+                let Some(ds) = &self.shared.dataset else {
+                    return Err(ServeError::BadRequest(
+                        "index-based request but the server has no dataset configured".into(),
+                    ));
+                };
+                for &i in indices {
+                    if i >= ds.len() {
+                        return Err(ServeError::BadRequest(format!(
+                            "index {i} out of range for dataset of {}",
+                            ds.len()
+                        )));
+                    }
+                }
+            }
+            Payload::Samples(samples) => {
+                let vocab = self.shared.model.read().unwrap().num_species();
+                for (k, s) in samples.iter().enumerate() {
+                    check_structure(s, vocab)
+                        .map_err(|why| ServeError::BadRequest(format!("structure {k}: {why}")))?;
                 }
             }
         }
@@ -306,8 +316,10 @@ impl InferenceServer {
     /// checkpoint or a [`crate::save_model`] artifact, any precision).
     /// In-flight batches finish on the old model; every batch coalesced
     /// after the swap uses the new parameters. The new model must keep
-    /// the configured head valid; on any error the old model keeps
-    /// serving. Records [`SERVE_RELOADS`] on success.
+    /// the configured head valid and must not shrink the species
+    /// vocabulary (requests already validated against the old one are
+    /// still queued); on any error the old model keeps serving. Records
+    /// [`SERVE_RELOADS`] on success.
     pub fn reload(&self, path: impl AsRef<Path>) -> Result<(), String> {
         let path = path.as_ref();
         let mut model = load_infer_model(path)
@@ -321,10 +333,19 @@ impl InferenceServer {
                 self.shared.cfg.head
             ));
         }
-        if self.shared.cfg.precision != Precision::F32 {
-            model.quantize_params(self.shared.cfg.precision);
+        model.quantize_params(self.shared.cfg.precision);
+        {
+            let mut slot = self.shared.model.write().unwrap();
+            if model.num_species() < slot.num_species() {
+                return Err(format!(
+                    "reload {}: model reads {} species, the served model {}",
+                    path.display(),
+                    model.num_species(),
+                    slot.num_species()
+                ));
+            }
+            *slot = Arc::new(model);
         }
-        *self.shared.model.write().unwrap() = Arc::new(model);
         self.shared.obs.count(SERVE_RELOADS, 1);
         Ok(())
     }
@@ -359,6 +380,36 @@ impl Drop for InferenceServer {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Wait for an accepted request's rows. A worker that drops the request
+/// unanswered (it died mid-batch) hangs up the channel.
+fn reply(rx: mpsc::Receiver<Vec<Vec<f32>>>) -> Result<Vec<Vec<f32>>, ServeError> {
+    rx.recv().map_err(|_| ServeError::WorkerDied)
+}
+
+/// Why `sample` would panic a worker's forward, if it would: a species
+/// at or past the model's `vocab`, a species/position count mismatch, a
+/// non-finite coordinate, or a client-supplied edge list that is ragged
+/// or names a missing atom.
+fn check_structure(sample: &Sample, vocab: usize) -> Result<(), String> {
+    let g = &sample.graph;
+    if g.species.len() != g.positions.len() {
+        return Err(format!("{} species but {} positions", g.species.len(), g.positions.len()));
+    }
+    if let Some(&z) = g.species.iter().find(|&&z| z as usize >= vocab) {
+        return Err(format!("species {z} outside the model's vocabulary of {vocab}"));
+    }
+    if g.positions.iter().any(|p| !(p.x.is_finite() && p.y.is_finite() && p.z.is_finite())) {
+        return Err("non-finite coordinate".into());
+    }
+    if g.src.len() != g.dst.len() {
+        return Err(format!("{} edge sources but {} destinations", g.src.len(), g.dst.len()));
+    }
+    if g.src.iter().chain(&g.dst).any(|&v| v as usize >= g.species.len()) {
+        return Err(format!("edge endpoint outside the structure's {} atoms", g.species.len()));
+    }
+    Ok(())
 }
 
 /// One worker: wait for requests, drain a run of them up to `max_batch`
@@ -599,6 +650,29 @@ mod tests {
     }
 
     #[test]
+    fn unreadable_structures_are_rejected_and_the_worker_keeps_serving() {
+        let (srv, singles) = server(ServeConfig { workers: 1, ..Default::default() }, Obs::disabled());
+        let ds = SyntheticMaterialsProject::new(24, 21);
+        let mut bad_species = ds.sample(5);
+        bad_species.graph.species[0] = 999;
+        let mut ragged = ds.sample(5);
+        ragged.graph.positions.pop();
+        let mut nan = ds.sample(5);
+        nan.graph.positions[0].y = f32::NAN;
+        let mut dangling = ds.sample(5);
+        dangling.graph.src = vec![0];
+        dangling.graph.dst = vec![u32::MAX];
+        for bad in [bad_species, ragged, nan, dangling] {
+            let got = srv.predict_samples(vec![ds.sample(9), bad]);
+            assert!(matches!(got, Err(ServeError::BadRequest(_))), "{got:?}");
+        }
+        // The one worker is alive and still exact.
+        let rows = srv.predict_samples(vec![ds.sample(5)]).unwrap();
+        let want: Vec<u32> = singles[5].iter().map(|v| v.to_bits()).collect();
+        assert_eq!(rows[0].iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+    }
+
+    #[test]
     fn backpressure_rejects_and_shutdown_drains() {
         let obs = Obs::null();
         let ds = Arc::new(SyntheticMaterialsProject::new(24, 21));
@@ -630,6 +704,23 @@ mod tests {
         );
         // The drained queue was served as one coalesced batch of 3.
         assert_eq!(obs.counter(SERVE_BATCHES), 1);
+    }
+
+    #[test]
+    fn a_request_dropped_unanswered_is_a_typed_error() {
+        let ds = Arc::new(SyntheticMaterialsProject::new(24, 21));
+        let srv = InferenceServer::new_paused(
+            model(),
+            Compose::standard(CUTOFF, MAXN),
+            Some(ds),
+            ServeConfig { workers: 1, ..Default::default() },
+            Obs::disabled(),
+        );
+        let rx = srv.submit(Payload::Indices(vec![0])).unwrap();
+        // What a worker dying mid-batch leaves behind: the job, and with
+        // it the reply sender, dropped unanswered.
+        srv.shared.queue.lock().unwrap().jobs.clear();
+        assert_eq!(reply(rx), Err(ServeError::WorkerDied));
     }
 
     #[test]
@@ -688,7 +779,15 @@ mod tests {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
         let bytes: Vec<u8> = (0..4096).map(|_| rand::RngCore::next_u32(&mut rng) as u8).collect();
         std::fs::write(&noise, bytes).unwrap();
-        for bad in [dir.join("missing.mckpt"), json, noise] {
+        // A smaller vocabulary than the queued requests were validated for.
+        let narrow = dir.join("narrow.mckpt");
+        let narrow_model = TaskModel::egnn(
+            EgnnConfig { num_species: 10, ..EgnnConfig::small(8) },
+            &[TaskHeadConfig::regression(DatasetId::MaterialsProject, TargetKind::BandGap, 16, 1)],
+            21,
+        );
+        crate::save_model(&narrow, &narrow_model, Precision::F32).unwrap();
+        for bad in [dir.join("missing.mckpt"), json, noise, narrow] {
             assert!(srv.reload(&bad).is_err(), "{} must not load", bad.display());
             assert_eq!(srv.predict_indices(vec![idx]).unwrap()[0], expect);
         }

@@ -12,6 +12,10 @@
 //! | `pipeline_3epoch.txt` | world 2 × 4 over 40 LiPS structures: 12 steps, 3 epochs |
 //! | `ddp_20rank_clip.txt` | world 20 × 1, clipped norm: 16 slots, slots 0–3 fold two ranks |
 //!
+//! The 2-rank run is also trained while an f16 inference server answers
+//! requests on another thread: reduced precision belongs to the served
+//! model, so it must not move a bit of training in the same process.
+//!
 //! The files pin behaviour across refactors of the step body: each was
 //! written by the code that preceded the refactor it guards, so any
 //! later change that moves a bit fails here.
@@ -20,6 +24,8 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use matsciml_datasets::{
     Compose, DataLoader, Dataset, DatasetId, ShuffleMode, Split, SyntheticLips,
@@ -27,8 +33,11 @@ use matsciml_datasets::{
 };
 use matsciml_models::EgnnConfig;
 use matsciml_nn::ParamId;
+use matsciml_obs::Obs;
+use matsciml_tensor::Precision;
 use matsciml_train::{
-    TargetKind, TaskHeadConfig, TaskModel, TrainCheckpoint, TrainConfig, TrainLog, Trainer,
+    InferenceServer, ServeConfig, ServeError, TargetKind, TaskHeadConfig, TaskModel,
+    TrainCheckpoint, TrainConfig, TrainLog, Trainer, SIMD_HALF_OPS,
 };
 
 /// A pinned reference run.
@@ -210,12 +219,16 @@ const ENDS: [Schedule; 2] = [
     Schedule { overlap: true, parallel: true, readahead_threads: 1 },
 ];
 
+/// All eight combinations of the step's scheduling knobs.
+fn every_schedule() -> Vec<Schedule> {
+    (0..8)
+        .map(|i| Schedule { overlap: i & 4 != 0, parallel: i & 2 != 0, readahead_threads: i & 1 })
+        .collect()
+}
+
 #[test]
 fn every_step_schedule_reproduces_the_golden_run() {
-    let every: Vec<Schedule> = (0..8)
-        .map(|i| Schedule { overlap: i & 4 != 0, parallel: i & 2 != 0, readahead_threads: i & 1 })
-        .collect();
-    check(Run::Ddp2Rank, &every);
+    check(Run::Ddp2Rank, &every_schedule());
 }
 
 #[test]
@@ -231,6 +244,57 @@ fn three_epoch_pipeline_run_reproduces_its_golden_digest() {
 #[test]
 fn world_20_clipped_run_reproduces_its_golden_digest() {
     check(Run::World20, &ENDS);
+}
+
+/// An f16 server answering requests on another thread must not move a
+/// bit of a training run in the same process: the reduced precision
+/// belongs to the served model's tapes, not to the process.
+#[test]
+fn golden_run_is_unmoved_by_a_concurrent_f16_server() {
+    let ds = Arc::new(SyntheticMaterialsProject::new(16, 5));
+    let head = TaskHeadConfig::regression(DatasetId::MaterialsProject, TargetKind::BandGap, 16, 1);
+    let obs = Obs::null();
+    let server = InferenceServer::start(
+        TaskModel::egnn(EgnnConfig::small(16), &[head], 3),
+        Compose::standard(4.5, Some(12)),
+        Some(ds),
+        ServeConfig { workers: 1, precision: Precision::F16, ..Default::default() },
+        obs.clone(),
+    );
+    let stop = AtomicBool::new(false);
+    let served = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let client = scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                let idx = served.load(Ordering::Relaxed) % 16;
+                match server.predict_indices(vec![idx, (idx + 5) % 16]) {
+                    Ok(_) => {
+                        served.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(ServeError::Busy) => std::thread::yield_now(),
+                    Err(e) => panic!("serve request failed: {e}"),
+                }
+            }
+        });
+        // Train only once the f16 forwards are running.
+        while served.load(Ordering::Relaxed) == 0 && !client.is_finished() {
+            std::thread::yield_now();
+        }
+        let trained = std::panic::catch_unwind(|| check(Run::Ddp2Rank, &every_schedule()));
+        stop.store(true, Ordering::Relaxed);
+        if let Err(panic) = trained {
+            std::panic::resume_unwind(panic);
+        }
+    });
+    server.shutdown();
+    assert!(served.load(Ordering::Relaxed) > 0, "the server answered nothing");
+    #[cfg(target_arch = "x86_64")]
+    if matsciml_tensor::simd_enabled()
+        && std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("fma")
+    {
+        assert!(obs.counter(SIMD_HALF_OPS) > 0, "the server never ran the wide tier");
+    }
 }
 
 /// Rewrites every golden file from the default schedule.

@@ -7,9 +7,8 @@
 //! must stay within a per-precision relative-error budget of the exact
 //! reference — the contract `serve --precision` advertises.
 //!
-//! Everything lives in ONE `#[test]`: the precision toggle is
-//! process-global, and this integration-test binary is its own process,
-//! so a single test body can flip it without racing the library tests.
+//! The precision is the quantized model's own, so the datasets are
+//! ordinary tests that run in parallel with exact f32 references.
 
 use matsciml_datasets::{
     Compose, Dataset, DatasetId, SyntheticCarolina, SyntheticLips, SyntheticMaterialsProject,
@@ -17,9 +16,7 @@ use matsciml_datasets::{
 };
 use matsciml_models::EgnnConfig;
 use matsciml_nn::ParamId;
-use matsciml_tensor::{
-    infer_precision, max_rel_error, set_infer_precision, simd_stats, Precision,
-};
+use matsciml_tensor::{max_rel_error, simd_stats, Precision};
 use matsciml_train::{TargetKind, TaskHeadConfig, TaskModel};
 
 /// Budget for f16 storage (10 mantissa bits): the bound `serve
@@ -57,75 +54,41 @@ fn build(dataset: DatasetId, target: TargetKind) -> TaskModel {
     m
 }
 
-#[test]
-fn quantized_predictions_track_f32_on_every_dataset() {
-    let tasks: Vec<(&str, Box<dyn Dataset>, DatasetId, TargetKind)> = vec![
-        (
-            "materials-project",
-            Box::new(SyntheticMaterialsProject::new(BATCH, 3)),
-            DatasetId::MaterialsProject,
-            TargetKind::BandGap,
-        ),
-        (
-            "carolina",
-            Box::new(SyntheticCarolina::new(BATCH, 3)),
-            DatasetId::Carolina,
-            TargetKind::FormationEnergy,
-        ),
-        (
-            "lips",
-            Box::new(SyntheticLips::new(BATCH, 3)),
-            DatasetId::Lips,
-            TargetKind::Energy,
-        ),
-        (
-            "oc20",
-            Box::new(SyntheticOc20::new(BATCH, 3)),
-            DatasetId::Oc20,
-            TargetKind::Energy,
-        ),
-        (
-            "oc22",
-            Box::new(SyntheticOc22::new(BATCH, 3)),
-            DatasetId::Oc22,
-            TargetKind::Energy,
-        ),
-    ];
-    assert_eq!(infer_precision(), Precision::F32, "tier must be off by default");
-
+/// Predict one batch of `dataset` exactly and through each reduced
+/// precision, and hold the quantized predictions to their budgets.
+fn check(name: &str, dataset: &dyn Dataset, id: DatasetId, target: TargetKind) {
     let pipeline = Compose::standard(CUTOFF, MAXN);
+    let samples: Vec<_> = (0..BATCH).map(|i| pipeline.apply(dataset.sample(i))).collect();
+
+    // Exact reference: f32 storage, pinned-lane kernels.
+    let exact = build(id, target);
+    assert_eq!(exact.precision(), Precision::F32, "a fresh model runs exact");
+    let reference = exact.predict(&samples, 0);
+    assert!(
+        reference.as_slice().iter().any(|v| v.abs() > 1e-3),
+        "{name}: reference predictions are all ~zero — the check would be vacuous"
+    );
+
     let mut wide_groups = 0u64;
-    for (name, dataset, id, target) in tasks {
-        let samples: Vec<_> = (0..BATCH).map(|i| pipeline.apply(dataset.sample(i))).collect();
+    for (precision, tol) in [(Precision::F16, F16_TOL), (Precision::Bf16, BF16_TOL)] {
+        // Same weights (deterministic rebuild), rounded through
+        // reduced-precision storage — exactly what serving does at
+        // checkpoint load.
+        let mut quantized = build(id, target);
+        let worst_abs = quantized.quantize_params(precision);
+        assert!(worst_abs > 0.0, "{name}: quantization changed nothing");
+        assert_eq!(quantized.precision(), precision);
 
-        // Exact reference: f32 storage, tier off, pinned-lane kernels.
-        let reference = build(id, target).predict(&samples, 0);
+        let before = simd_stats();
+        let got = quantized.predict(&samples, 0);
+        wide_groups += simd_stats().since(&before).half_ops;
+
+        let err = max_rel_error(reference.as_slice(), got.as_slice());
         assert!(
-            reference.as_slice().iter().any(|v| v.abs() > 1e-3),
-            "{name}: reference predictions are all ~zero — the check would be vacuous"
+            err <= tol,
+            "{name}/{}: max relative error {err:.3e} exceeds budget {tol:.0e}",
+            precision.name()
         );
-
-        for (precision, tol) in [(Precision::F16, F16_TOL), (Precision::Bf16, BF16_TOL)] {
-            // Same weights (deterministic rebuild), rounded through
-            // reduced-precision storage — exactly what serving does at
-            // checkpoint load.
-            let mut quantized = build(id, target);
-            let worst_abs = quantized.quantize_params(precision);
-            assert!(worst_abs > 0.0, "{name}: quantization changed nothing");
-
-            set_infer_precision(precision);
-            let before = simd_stats();
-            let got = quantized.predict(&samples, 0);
-            wide_groups += simd_stats().since(&before).half_ops;
-            set_infer_precision(Precision::F32);
-
-            let err = max_rel_error(reference.as_slice(), got.as_slice());
-            assert!(
-                err <= tol,
-                "{name}/{}: max relative error {err:.3e} exceeds budget {tol:.0e}",
-                precision.name()
-            );
-        }
     }
 
     // On FMA hardware with the lane tier on, the wide kernels must
@@ -139,8 +102,35 @@ fn quantized_predictions_track_f32_on_every_dataset() {
         && std::arch::is_x86_feature_detected!("avx2")
         && std::arch::is_x86_feature_detected!("fma")
     {
-        assert!(wide_groups > 0, "wide kernels never engaged on FMA-capable hardware");
+        assert!(wide_groups > 0, "{name}: wide kernels never engaged on FMA-capable hardware");
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = wide_groups;
+}
+
+#[test]
+fn materials_project_stays_within_budget() {
+    let ds = SyntheticMaterialsProject::new(BATCH, 3);
+    check("materials-project", &ds, DatasetId::MaterialsProject, TargetKind::BandGap);
+}
+
+#[test]
+fn carolina_stays_within_budget() {
+    let ds = SyntheticCarolina::new(BATCH, 3);
+    check("carolina", &ds, DatasetId::Carolina, TargetKind::FormationEnergy);
+}
+
+#[test]
+fn lips_stays_within_budget() {
+    check("lips", &SyntheticLips::new(BATCH, 3), DatasetId::Lips, TargetKind::Energy);
+}
+
+#[test]
+fn oc20_stays_within_budget() {
+    check("oc20", &SyntheticOc20::new(BATCH, 3), DatasetId::Oc20, TargetKind::Energy);
+}
+
+#[test]
+fn oc22_stays_within_budget() {
+    check("oc22", &SyntheticOc22::new(BATCH, 3), DatasetId::Oc22, TargetKind::Energy);
 }

@@ -25,14 +25,18 @@ cargo test -q
 echo "== workspace tests =="
 cargo test -q --workspace
 
-echo "== worker pool: concurrency tests and steady-state pool hits, 5x in release =="
+echo "== worker pool and precision races: concurrency tests, 5x in release =="
 # Every parallel region runs on the vendored rayon's persistent worker
 # pool (third_party/README.md). Its concurrency tests and the zero-miss
 # steady-state test depend on which thread runs which block, so they are
-# repeated in optimized builds to shake out races.
+# repeated in optimized builds to shake out races. So is the golden
+# 2-rank run trained while an f16 server answers requests on another
+# thread: the reduced precision must stay with the served model.
 for _ in 1 2 3 4 5; do
   cargo test -q --release -p rayon
   cargo test -q --release -p matsciml-train --test pool_steady_state
+  cargo test -q --release -p matsciml-train --test golden_digests \
+    golden_run_is_unmoved_by_a_concurrent_f16_server
 done
 
 echo "== SIMD lane tier: detected tier, tensor kernels in release =="

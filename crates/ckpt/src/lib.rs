@@ -1,40 +1,42 @@
-//! `matsciml-ckpt` — the versioned binary checkpoint container.
+//! `matsciml-ckpt` — the container layer under both on-disk artifacts,
+//! the `.mckpt` checkpoint and the `.mshard` corpus shard: tagged
+//! sections behind an 8-byte magic and a version, sealed by a trailing
+//! CRC-32 over the whole file.
 //!
-//! A checkpoint is a single file holding tagged sections (parameters,
-//! optimizer moments, architecture JSON, trainer state) behind an 8-byte
-//! magic, a format version, and a trailing CRC-32 over the whole file.
-//! The on-disk layout is specified normatively in
-//! `docs/CHECKPOINT_FORMAT.md`; this crate is one implementation of that
-//! spec, not its definition.
+//! It owns that layer once — the framing ([`put_header`],
+//! [`put_section`], [`seal`], [`Sections`], [`check_seal`]), the typed
+//! [`CkptError`], the table-driven [`crc32`], the [`ByteWriter`] /
+//! [`ByteReader`] payload primitives — and [`write_durable`], the one
+//! writer every artifact goes through. It depends on no other
+//! `matsciml-*` crate: the typed codecs live with their callers
+//! (`ParamSet`/`AdamWState` in `matsciml-train`, sample records in
+//! `matsciml-datasets`). `docs/CHECKPOINT_FORMAT.md` and
+//! `docs/SHARD_FORMAT.md` are the normative specs; this crate is one
+//! implementation of them.
 //!
 //! Design constraints, in priority order:
 //!
 //! 1. **Bit-exactness.** Every f32 is stored as its IEEE-754 bit pattern,
 //!    so save → load → resume reproduces the uninterrupted trajectory bit
-//!    for bit (asserted end-to-end by the train crate's
-//!    `restart_bitwise` test).
+//!    for bit (the train crate's `restart_bitwise` test).
 //! 2. **Loud corruption.** Truncation, a foreign file, a future version,
 //!    and a flipped byte each surface as a distinct [`CkptError`]
 //!    variant — never a panic, never a silently wrong model.
-//! 3. **Forward compatibility.** Readers skip sections whose tag they do
-//!    not recognize, so a v1 reader opens files written by later
-//!    toolkits that append new sections.
-//!
-//! The container ([`CkptWriter`] / [`CkptReader`]) is payload-agnostic;
-//! the typed codecs for [`matsciml_nn::ParamSet`] and
-//! [`matsciml_opt::AdamWState`] live in [`state`].
+//! 3. **Durable replacement.** A crash at any instant leaves the old
+//!    artifact or the new one under its final name, never a torn one.
+//! 4. **Forward compatibility.** Checkpoint readers skip sections whose
+//!    tag they do not recognize, so a v1 reader opens files written by
+//!    later toolkits that append new sections.
 
 #![warn(missing_docs)]
 
+mod durable;
 mod format;
-pub mod state;
 
+pub use durable::write_durable;
 pub use format::{
-    crc32, ByteReader, ByteWriter, CkptError, CkptReader, CkptWriter, MAGIC, VERSION,
-};
-pub use state::{
-    decode_adamw, decode_params, decode_params_half, encode_adamw, encode_params,
-    encode_params_half, HalfParams,
+    check_seal, crc32, put_header, put_section, seal, ByteReader, ByteWriter, CkptError,
+    CkptReader, CkptWriter, Sections, HEADER_LEN, MAGIC, SECTION_HEADER_LEN, VERSION,
 };
 
 /// Section tags defined by `matsciml-ckpt/v1`. Tags are 1–8 ASCII bytes,

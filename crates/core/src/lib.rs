@@ -19,7 +19,7 @@
 //! | [`datasets`] | `matsciml-datasets` | synthetic MP/CMD/OC20/OC22/LiPS, transforms, loading |
 //! | [`models`] | `matsciml-models` | E(n)-GNN encoder, MPNN baseline |
 //! | [`train`] | `matsciml-train` | tasks, multi-task models, DDP simulator, trainer, inference server |
-//! | [`ckpt`] | `matsciml-ckpt` | the versioned `matsciml-ckpt/v1` checkpoint container |
+//! | [`ckpt`] | `matsciml-ckpt` | the versioned container under checkpoints and shards, durable writes |
 //! | [`obs`] | `matsciml-obs` | spans, streaming histograms, JSONL run recorder |
 //! | [`umap`] | `matsciml-umap` | UMAP for the dataset-exploration study |
 //!

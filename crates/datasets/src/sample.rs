@@ -68,6 +68,16 @@ impl DatasetId {
         }
     }
 
+    /// Provenance of a set of records once one from `next` joins it:
+    /// `next` when the set was empty (`None`) or all from `next`,
+    /// [`DatasetId::Mixed`] otherwise.
+    pub fn merge(set: Option<DatasetId>, next: DatasetId) -> DatasetId {
+        match set {
+            Some(d) if d != next => DatasetId::Mixed,
+            _ => next,
+        }
+    }
+
     /// Inverse of [`DatasetId::code`]; `None` for codes this reader does
     /// not know (a record written by a newer format revision).
     pub fn from_code(code: u8) -> Option<DatasetId> {

@@ -2,10 +2,11 @@
 //! streaming data layer reads samples out of without ever materializing
 //! an epoch.
 //!
-//! The container follows the `matsciml-ckpt` conventions — an 8-byte
-//! magic with a non-ASCII lead byte, a little-endian version word, tagged
-//! sections, and a trailing CRC-32 in the zlib/PNG parameterization — but
-//! is tuned for *partial* reads: a shard may be hundreds of megabytes,
+//! The container is `matsciml-ckpt`'s — an 8-byte magic with a non-ASCII
+//! lead byte, a little-endian version word, tagged sections, and a
+//! trailing CRC-32 in the zlib/PNG parameterization, framed, walked and
+//! sealed by that crate's helpers — but the shard is tuned for *partial*
+//! reads: a shard may be hundreds of megabytes,
 //! and a training run touches its records in shuffled order, so the
 //! reader must be able to validate a file and seek to any record without
 //! scanning the data payload. Three sections in fixed order make that
@@ -27,12 +28,18 @@
 //! Storage sits behind [`ShardStorage`]: on Linux/x86-64 the reader
 //! memory-maps the file (records decode straight out of the page cache,
 //! zero copies, no per-record syscalls) and falls back to a fully
-//! buffered read elsewhere or when mapping fails.
+//! buffered read elsewhere or when mapping fails. Shards are written
+//! through [`write_durable`], so a path is only ever replaced, never
+//! rewritten in place.
 
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::sample::{DatasetId, Sample, Targets};
+use matsciml_ckpt::{
+    check_seal, crc32, put_header, put_section, seal, write_durable, ByteReader, ByteWriter,
+    CkptError, Sections, HEADER_LEN, SECTION_HEADER_LEN,
+};
 use matsciml_graph::MaterialGraph;
 use matsciml_tensor::Vec3;
 
@@ -53,10 +60,6 @@ pub const SHARD_EXT: &str = "mshard";
 const TAG_META: [u8; 8] = *b"META    ";
 const TAG_INDX: [u8; 8] = *b"INDX    ";
 const TAG_DATA: [u8; 8] = *b"DATA    ";
-/// `magic + version + section count`.
-const HEADER_LEN: usize = 16;
-/// `tag + payload length`.
-const SECTION_HEADER_LEN: usize = 16;
 /// `count u64, dataset u32, record version u32, index crc u32, reserved u32`.
 const META_LEN: usize = 24;
 
@@ -140,39 +143,26 @@ impl From<std::io::Error> for ShardError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// CRC-32
-// ---------------------------------------------------------------------------
-
-/// 256-entry table for the reflected `0xEDB88320` polynomial, built at
-/// compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            bit += 1;
+/// The container layer's errors, in shard terms: its one checksum is the
+/// trailing whole-file CRC.
+impl From<CkptError> for ShardError {
+    fn from(e: CkptError) -> Self {
+        match e {
+            CkptError::Io(e) => ShardError::Io(e),
+            CkptError::BadMagic => ShardError::BadMagic,
+            CkptError::UnsupportedVersion(v) => ShardError::UnsupportedVersion(v),
+            CkptError::Truncated { context } => ShardError::Truncated { context },
+            CkptError::ChecksumMismatch { stored, computed } => ShardError::ChecksumMismatch {
+                what: "file",
+                stored,
+                computed,
+            },
+            CkptError::MissingSection(tag) => {
+                ShardError::Malformed(format!("missing section `{tag}`"))
+            }
+            CkptError::Malformed(msg) => ShardError::Malformed(msg),
         }
-        table[i] = crc;
-        i += 1;
     }
-    table
-};
-
-/// CRC-32 (IEEE 802.3): the exact parameterization `matsciml-ckpt` uses
-/// (reflected `0xEDB88320`, init/final-XOR `0xFFFFFFFF`, zlib/PNG
-/// compatible), but table-driven — shards are orders of magnitude larger
-/// than checkpoints, so the bitwise loop would dominate `shard-write`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
 }
 
 // ---------------------------------------------------------------------------
@@ -202,20 +192,17 @@ pub fn encode_record(sample: &Sample, out: &mut Vec<u8>) -> usize {
     let start = out.len();
     let g = &sample.graph;
     let t = &sample.targets;
-    let mut mask = 0u8;
+    let scalars = [
+        (T_BAND_GAP, t.band_gap),
+        (T_FERMI, t.fermi_energy),
+        (T_FORMATION, t.formation_energy),
+        (T_ENERGY, t.energy),
+    ];
+    let mut mask = scalars
+        .iter()
+        .filter(|(_, v)| v.is_some())
+        .fold(0, |m, (bit, _)| m | bit);
     let mut flags = 0u8;
-    if t.band_gap.is_some() {
-        mask |= T_BAND_GAP;
-    }
-    if t.fermi_energy.is_some() {
-        mask |= T_FERMI;
-    }
-    if t.formation_energy.is_some() {
-        mask |= T_FORMATION;
-    }
-    if t.energy.is_some() {
-        mask |= T_ENERGY;
-    }
     if t.sym_label.is_some() {
         mask |= T_SYM_LABEL;
     }
@@ -231,118 +218,80 @@ pub fn encode_record(sample: &Sample, out: &mut Vec<u8>) -> usize {
     if g.num_edges() > 0 {
         flags |= F_EDGES;
     }
-    out.push(sample.dataset.code());
-    out.push(mask);
-    out.push(flags);
-    out.push(0);
-    out.extend_from_slice(&(g.num_nodes() as u32).to_le_bytes());
-    out.extend_from_slice(&(g.num_edges() as u32).to_le_bytes());
-    for &s in &g.species {
-        out.extend_from_slice(&s.to_le_bytes());
-    }
-    for p in &g.positions {
-        out.extend_from_slice(&p.x.to_le_bytes());
-        out.extend_from_slice(&p.y.to_le_bytes());
-        out.extend_from_slice(&p.z.to_le_bytes());
-    }
+    out.extend_from_slice(&[sample.dataset.code(), mask, flags, 0]);
+    put_u32s(out, &[g.num_nodes() as u32, g.num_edges() as u32]);
+    put_u32s(out, &g.species);
+    put_vec3s(out, &g.positions);
     if flags & F_EDGES != 0 {
-        for &s in &g.src {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
-        for &d in &g.dst {
-            out.extend_from_slice(&d.to_le_bytes());
-        }
+        put_u32s(out, &g.src);
+        put_u32s(out, &g.dst);
     }
-    for (bit, v) in [
-        (T_BAND_GAP, t.band_gap),
-        (T_FERMI, t.fermi_energy),
-        (T_FORMATION, t.formation_energy),
-        (T_ENERGY, t.energy),
-    ] {
-        if mask & bit != 0 {
-            out.extend_from_slice(&v.expect("masked present").to_le_bytes());
-        }
+    for v in scalars.iter().filter_map(|&(_, v)| v) {
+        out.extend_from_slice(&v.to_le_bytes());
     }
-    if mask & T_SYM_LABEL != 0 {
-        out.extend_from_slice(&t.sym_label.expect("masked present").to_le_bytes());
+    if let Some(label) = t.sym_label {
+        out.extend_from_slice(&label.to_le_bytes());
     }
     if let Some(forces) = &sample.forces {
         debug_assert_eq!(forces.len(), g.num_nodes(), "one force per atom");
-        for f in forces {
-            out.extend_from_slice(&f.x.to_le_bytes());
-            out.extend_from_slice(&f.y.to_le_bytes());
-            out.extend_from_slice(&f.z.to_le_bytes());
-        }
+        put_vec3s(out, forces);
     }
     out.len() - start
 }
 
-/// Cursor over a record's bytes; out-of-bounds reads surface as
-/// [`ShardError::Malformed`] (the container structure already validated,
-/// so a short record is a codec-level defect).
-struct RecordCursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
 }
 
-impl<'a> RecordCursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ShardError> {
-        if self.buf.len() - self.pos < n {
-            return Err(ShardError::Malformed(format!(
-                "record exhausted reading {what} (need {n} bytes, have {})",
-                self.buf.len() - self.pos
-            )));
+fn put_vec3s(out: &mut Vec<u8>, values: &[Vec3]) {
+    for p in values {
+        for c in [p.x, p.y, p.z] {
+            out.extend_from_slice(&c.to_le_bytes());
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
     }
+}
 
-    fn u32(&mut self, what: &str) -> Result<u32, ShardError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
+fn get_u32s(r: &mut ByteReader<'_>, n: usize, what: &str) -> Result<Vec<u32>, CkptError> {
+    let bytes = r.get_bytes(n.saturating_mul(4), what)?;
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+        .collect())
+}
 
-    fn f32(&mut self, what: &str) -> Result<f32, ShardError> {
-        Ok(f32::from_bits(self.u32(what)?))
-    }
-
-    fn vec3s(&mut self, n: usize, what: &str) -> Result<Vec<Vec3>, ShardError> {
-        let bytes = self.take(n * 12, what)?;
-        Ok(bytes
-            .chunks_exact(12)
-            .map(|c| {
-                Vec3::new(
-                    f32::from_le_bytes(c[0..4].try_into().expect("4 bytes")),
-                    f32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
-                    f32::from_le_bytes(c[8..12].try_into().expect("4 bytes")),
-                )
-            })
-            .collect())
-    }
-
-    fn u32s(&mut self, n: usize, what: &str) -> Result<Vec<u32>, ShardError> {
-        let bytes = self.take(n * 4, what)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
+fn get_vec3s(r: &mut ByteReader<'_>, n: usize, what: &str) -> Result<Vec<Vec3>, CkptError> {
+    let bytes = r.get_bytes(n.saturating_mul(12), what)?;
+    Ok(bytes
+        .chunks_exact(12)
+        .map(|c| {
+            Vec3::new(
+                f32::from_le_bytes(c[0..4].try_into().expect("4 bytes")),
+                f32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
+                f32::from_le_bytes(c[8..12].try_into().expect("4 bytes")),
+            )
+        })
+        .collect())
 }
 
 /// Decode one record previously produced by [`encode_record`].
 pub fn decode_record(bytes: &[u8]) -> Result<Sample, ShardError> {
-    let mut c = RecordCursor { buf: bytes, pos: 0 };
-    let head = c.take(4, "record header")?;
+    let mut r = ByteReader::new(bytes);
+    let head = r.get_bytes(4, "record header")?;
     let dataset = DatasetId::from_code(head[0]).ok_or_else(|| {
         ShardError::Malformed(format!("unknown dataset code {}", head[0]))
     })?;
     let (mask, flags) = (head[1], head[2]);
-    let n_atoms = c.u32("atom count")? as usize;
-    let n_edges = c.u32("edge count")? as usize;
-    let species = c.u32s(n_atoms, "species")?;
-    let positions = c.vec3s(n_atoms, "positions")?;
+    let n_atoms = r.get_u32("atom count")? as usize;
+    let n_edges = r.get_u32("edge count")? as usize;
+    let species = get_u32s(&mut r, n_atoms, "species")?;
+    let positions = get_vec3s(&mut r, n_atoms, "positions")?;
     let (src, dst) = if flags & F_EDGES != 0 {
-        (c.u32s(n_edges, "edge sources")?, c.u32s(n_edges, "edge destinations")?)
+        (
+            get_u32s(&mut r, n_edges, "edge sources")?,
+            get_u32s(&mut r, n_edges, "edge destinations")?,
+        )
     } else if n_edges != 0 {
         return Err(ShardError::Malformed(format!(
             "record declares {n_edges} edges but the edge flag is clear"
@@ -351,26 +300,21 @@ pub fn decode_record(bytes: &[u8]) -> Result<Sample, ShardError> {
         (Vec::new(), Vec::new())
     };
     let targets = Targets {
-        band_gap: (mask & T_BAND_GAP != 0).then(|| c.f32("band_gap")).transpose()?,
-        fermi_energy: (mask & T_FERMI != 0).then(|| c.f32("fermi_energy")).transpose()?,
+        band_gap: (mask & T_BAND_GAP != 0).then(|| r.get_f32("band_gap")).transpose()?,
+        fermi_energy: (mask & T_FERMI != 0).then(|| r.get_f32("fermi_energy")).transpose()?,
         formation_energy: (mask & T_FORMATION != 0)
-            .then(|| c.f32("formation_energy"))
+            .then(|| r.get_f32("formation_energy"))
             .transpose()?,
-        energy: (mask & T_ENERGY != 0).then(|| c.f32("energy")).transpose()?,
-        sym_label: (mask & T_SYM_LABEL != 0).then(|| c.u32("sym_label")).transpose()?,
+        energy: (mask & T_ENERGY != 0).then(|| r.get_f32("energy")).transpose()?,
+        sym_label: (mask & T_SYM_LABEL != 0).then(|| r.get_u32("sym_label")).transpose()?,
         stable: (mask & T_STABLE != 0).then_some(flags & F_STABLE_VALUE != 0),
     };
     let forces = if flags & F_FORCES != 0 {
-        Some(c.vec3s(n_atoms, "forces")?)
+        Some(get_vec3s(&mut r, n_atoms, "forces")?)
     } else {
         None
     };
-    if c.pos != bytes.len() {
-        return Err(ShardError::Malformed(format!(
-            "{} trailing bytes after record",
-            bytes.len() - c.pos
-        )));
-    }
+    r.finish("the record")?;
     let mut graph = MaterialGraph::new(species, positions);
     graph.src = src;
     graph.dst = dst;
@@ -414,11 +358,7 @@ impl ShardWriter {
     pub fn push(&mut self, sample: &Sample) {
         self.offsets.push(self.data.len() as u64);
         encode_record(sample, &mut self.data);
-        self.dataset = Some(match self.dataset {
-            None => sample.dataset,
-            Some(d) if d == sample.dataset => d,
-            Some(_) => DatasetId::Mixed,
-        });
+        self.dataset = Some(DatasetId::merge(self.dataset, sample.dataset));
     }
 
     /// Records pushed so far.
@@ -437,65 +377,43 @@ impl ShardWriter {
         self.offsets.is_empty()
     }
 
-    /// Encoded data bytes so far (the shard-size rotation signal).
-    pub fn data_bytes(&self) -> usize {
-        self.data.len()
-    }
-
     /// Serialize to the full on-disk byte stream (magic through trailing
     /// CRC). Panics on an empty writer — zero-record shards are forbidden
     /// by the spec.
     pub fn to_bytes(&self) -> Vec<u8> {
         assert!(!self.is_empty(), "cannot write an empty shard");
         let count = self.offsets.len();
-        let indx_len = (count + 1) * 8;
-        let mut indx = Vec::with_capacity(indx_len);
-        for &off in &self.offsets {
-            indx.extend_from_slice(&off.to_le_bytes());
+        let mut indx = ByteWriter::new();
+        for off in self.offsets.iter().copied().chain([self.data.len() as u64]) {
+            indx.put_u64(off);
         }
-        indx.extend_from_slice(&(self.data.len() as u64).to_le_bytes());
-        let index_crc = crc32(&indx);
+        let indx = indx.into_bytes();
+        let mut meta = ByteWriter::new();
+        meta.put_u64(count as u64);
+        meta.put_u32(self.dataset.expect("non-empty shard has a dataset").code().into());
+        meta.put_u32(RECORD_VERSION);
+        meta.put_u32(crc32(&indx));
+        meta.put_u32(0);
+        let meta = meta.into_bytes();
 
-        let mut meta = Vec::with_capacity(META_LEN);
-        meta.extend_from_slice(&(count as u64).to_le_bytes());
-        meta.extend_from_slice(
-            &(self.dataset.expect("non-empty shard has a dataset").code() as u32).to_le_bytes(),
-        );
-        meta.extend_from_slice(&RECORD_VERSION.to_le_bytes());
-        meta.extend_from_slice(&index_crc.to_le_bytes());
-        meta.extend_from_slice(&0u32.to_le_bytes());
-
-        let total = HEADER_LEN
-            + 3 * SECTION_HEADER_LEN
-            + meta.len()
-            + indx.len()
-            + self.data.len()
-            + 4;
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&SHARD_MAGIC);
-        out.extend_from_slice(&SHARD_VERSION.to_le_bytes());
-        out.extend_from_slice(&3u32.to_le_bytes());
+        let len = HEADER_LEN + 3 * SECTION_HEADER_LEN + META_LEN + indx.len() + self.data.len();
+        let mut out = Vec::with_capacity(len + 4);
+        put_header(&mut out, &SHARD_MAGIC, SHARD_VERSION, 3);
+        // No padding: META and INDX are multiples of 8 by construction,
+        // and DATA is last.
         for (tag, payload) in [(TAG_META, &meta), (TAG_INDX, &indx), (TAG_DATA, &self.data)] {
-            out.extend_from_slice(&tag);
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(payload);
-            // META and INDX are multiples of 8 by construction; DATA is
-            // the last section, so no pad bytes are ever needed — but the
-            // spec keeps the 8-byte section header convention.
+            put_section(&mut out, &tag, payload);
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        seal(&mut out);
         out
     }
 
-    /// Write the shard file (parent directories created).
+    /// Write the shard file through [`write_durable`] (parent
+    /// directories created; an existing file is replaced, never
+    /// rewritten, so readers that have it mapped keep their bytes).
     pub fn write(&self, path: impl AsRef<Path>) -> Result<ShardFileInfo, ShardError> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
         let bytes = self.to_bytes();
-        std::fs::write(path, &bytes)?;
+        write_durable(path, &bytes)?;
         let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
         Ok(ShardFileInfo {
             samples: self.offsets.len() as u64,
@@ -574,9 +492,11 @@ mod mapped {
     }
 
     /// A read-only private file mapping. The mapping outlives the file
-    /// descriptor (closed on drop of the `File`); truncating the file
-    /// while mapped is undefined per POSIX and out of the format's threat
-    /// model (shards are write-once).
+    /// descriptor (closed on drop of the `File`). Truncating a mapped
+    /// file would fault its readers with `SIGBUS`, but the toolkit never
+    /// does: every shard write goes through `write_durable`, which
+    /// renames a new inode over the path, and the old inode — with this
+    /// mapping's pages — lives until the last mapping of it is dropped.
     pub struct MmapStorage {
         ptr: *const u8,
         len: usize,
@@ -651,7 +571,6 @@ pub use mapped::MmapStorage;
 /// by [`ShardReader::verify`].
 pub struct ShardReader {
     storage: Box<dyn ShardStorage>,
-    path: PathBuf,
     count: usize,
     dataset: DatasetId,
     /// Absolute offset of the INDX payload.
@@ -668,7 +587,7 @@ impl ShardReader {
         let path = path.as_ref();
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         if let Ok(map) = MmapStorage::open(path) {
-            return Self::from_storage(Box::new(map), path);
+            return Self::from_storage(Box::new(map));
         }
         Self::open_buffered(path)
     }
@@ -677,91 +596,64 @@ impl ShardReader {
     pub fn open_buffered(path: impl AsRef<Path>) -> Result<Self, ShardError> {
         let path = path.as_ref();
         let bytes = std::fs::read(path)?;
-        Self::from_storage(Box::new(BufferedStorage(bytes)), path)
+        Self::from_storage(Box::new(BufferedStorage(bytes)))
     }
 
-    fn from_storage(storage: Box<dyn ShardStorage>, path: &Path) -> Result<Self, ShardError> {
+    fn from_storage(storage: Box<dyn ShardStorage>) -> Result<Self, ShardError> {
         let b = storage.bytes();
-        if b.len() < 8 {
-            return Err(ShardError::Truncated { context: "magic" });
-        }
-        if b[..8] != SHARD_MAGIC {
-            return Err(ShardError::BadMagic);
-        }
-        if b.len() < HEADER_LEN {
-            return Err(ShardError::Truncated { context: "header" });
-        }
-        let version = u32::from_le_bytes(b[8..12].try_into().expect("4 bytes"));
-        if version != SHARD_VERSION {
-            return Err(ShardError::UnsupportedVersion(version));
-        }
-        let nsections = u32::from_le_bytes(b[12..16].try_into().expect("4 bytes"));
-        if nsections != 3 {
+        let mut walk = Sections::open(b, &SHARD_MAGIC, SHARD_VERSION)?;
+        if walk.count() != 3 {
             return Err(ShardError::Malformed(format!(
-                "expected 3 sections (META, INDX, DATA), file declares {nsections}"
+                "expected 3 sections (META, INDX, DATA), file declares {}",
+                walk.count()
             )));
         }
-        let body_end = b.len() - 4; // trailing CRC
-        let mut off = HEADER_LEN;
-        let mut section = |tag: [u8; 8], context: &'static str| -> Result<(usize, usize), ShardError> {
-            if off + SECTION_HEADER_LEN > body_end {
-                return Err(ShardError::Truncated { context });
-            }
-            if b[off..off + 8] != tag {
+        let mut section = |tag: [u8; 8], context: &'static str| {
+            let (found, payload) = walk.next(context)?;
+            if found != tag {
                 return Err(ShardError::Malformed(format!(
                     "expected section `{}`, found `{}`",
                     String::from_utf8_lossy(&tag).trim_end(),
-                    String::from_utf8_lossy(&b[off..off + 8]).trim_end(),
+                    String::from_utf8_lossy(&found).trim_end(),
                 )));
             }
-            let len = u64::from_le_bytes(b[off + 8..off + 16].try_into().expect("8 bytes"));
-            let len = usize::try_from(len)
-                .map_err(|_| ShardError::Malformed("section length overflows usize".into()))?;
-            let payload = off + SECTION_HEADER_LEN;
-            if payload + len > body_end {
-                return Err(ShardError::Truncated { context });
-            }
-            off = payload + len;
-            Ok((payload, len))
+            Ok(payload)
         };
-        let (meta_off, meta_len) = section(TAG_META, "META section")?;
-        let (indx_off, indx_len) = section(TAG_INDX, "INDX section")?;
-        let (data_off, data_len) = section(TAG_DATA, "DATA section")?;
-        if off != body_end {
+        let meta = section(TAG_META, "META section")?;
+        let indx = section(TAG_INDX, "INDX section")?;
+        let data = section(TAG_DATA, "DATA section")?;
+        walk.finish()?;
+        if meta.len() != META_LEN {
             return Err(ShardError::Malformed(format!(
-                "{} trailing bytes between DATA and the file checksum",
-                body_end - off
+                "META payload is {} bytes, spec requires {META_LEN}",
+                meta.len()
             )));
         }
-        if meta_len != META_LEN {
-            return Err(ShardError::Malformed(format!(
-                "META payload is {meta_len} bytes, spec requires {META_LEN}"
-            )));
-        }
-        let meta = &b[meta_off..meta_off + meta_len];
-        let count = u64::from_le_bytes(meta[0..8].try_into().expect("8 bytes"));
-        let count = usize::try_from(count)
+        let mut m = ByteReader::new(&b[meta]);
+        let count = usize::try_from(m.get_u64("sample count")?)
             .map_err(|_| ShardError::Malformed("sample count overflows usize".into()))?;
         if count == 0 {
             return Err(ShardError::Malformed("zero-record shards are forbidden".into()));
         }
-        let ds_code = u32::from_le_bytes(meta[8..12].try_into().expect("4 bytes"));
+        let ds_code = m.get_u32("dataset code")?;
         let dataset = u8::try_from(ds_code)
             .ok()
             .and_then(DatasetId::from_code)
             .ok_or_else(|| ShardError::Malformed(format!("unknown dataset code {ds_code}")))?;
-        let record_version = u32::from_le_bytes(meta[12..16].try_into().expect("4 bytes"));
+        let record_version = m.get_u32("record version")?;
         if record_version != RECORD_VERSION {
             return Err(ShardError::UnsupportedVersion(record_version));
         }
-        let stored_index_crc = u32::from_le_bytes(meta[16..20].try_into().expect("4 bytes"));
-        if indx_len != (count + 1) * 8 {
+        let stored_index_crc = m.get_u32("index crc")?;
+        if indx.len() != (count + 1) * 8 {
             return Err(ShardError::Malformed(format!(
-                "INDX payload is {indx_len} bytes, {count} samples require {}",
+                "INDX payload is {} bytes, {count} samples require {}",
+                indx.len(),
                 (count + 1) * 8
             )));
         }
-        let indx = &b[indx_off..indx_off + indx_len];
+        let (indx_off, data_off, data_len) = (indx.start, data.start, data.len());
+        let indx = &b[indx];
         let computed_index_crc = crc32(indx);
         if stored_index_crc != computed_index_crc {
             return Err(ShardError::ChecksumMismatch {
@@ -792,7 +684,6 @@ impl ShardReader {
         }
         Ok(ShardReader {
             storage,
-            path: path.to_path_buf(),
             count,
             dataset,
             indx_off,
@@ -815,11 +706,6 @@ impl ShardReader {
     /// Dataset the records came from ([`DatasetId::Mixed`] when mixed).
     pub fn dataset(&self) -> DatasetId {
         self.dataset
-    }
-
-    /// Path the shard was opened from.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Whether the backend is a zero-copy memory map.
@@ -859,14 +745,7 @@ impl ShardReader {
     /// writer runs after producing a file. Open-time validation already
     /// covered structure and the index; this covers every data byte.
     pub fn verify(&self) -> Result<(), ShardError> {
-        let b = self.storage.bytes();
-        let body_end = b.len() - 4;
-        let stored = u32::from_le_bytes(b[body_end..].try_into().expect("4 bytes"));
-        let computed = crc32(&b[..body_end]);
-        if stored != computed {
-            return Err(ShardError::ChecksumMismatch { what: "file", stored, computed });
-        }
-        Ok(())
+        Ok(check_seal(self.storage.bytes())?)
     }
 }
 
@@ -876,6 +755,7 @@ mod tests {
     use crate::sample::Dataset;
     use crate::synthetic::{SyntheticLips, SyntheticMaterialsProject, SyntheticOc20};
     use crate::transform::{Compose, Transform};
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("matsciml-shard-test-{name}-{}", std::process::id()))
@@ -887,14 +767,6 @@ mod tests {
             w.push(s);
         }
         w.write(path).unwrap()
-    }
-
-    #[test]
-    fn crc32_matches_the_ckpt_parameterization() {
-        // Same check value matsciml-ckpt's bitwise implementation asserts,
-        // so both containers are verifiable with stock zlib tooling.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
@@ -1034,8 +906,86 @@ mod tests {
     }
 
     #[test]
+    fn a_mapped_reader_keeps_its_bytes_when_the_path_is_rewritten() {
+        let ds = SyntheticMaterialsProject::new(16, 4);
+        let pool: Vec<Sample> = (0..16).map(|i| ds.sample(i)).collect();
+        let mut encoded = vec![Vec::new(); 16];
+        for (s, buf) in pool.iter().zip(&mut encoded) {
+            encode_record(s, buf);
+        }
+        let path = tmp("rewrite.mshard");
+        let big: Vec<Sample> = (0..4000).map(|i| pool[i % 16].clone()).collect();
+        write_shard(&big, &path);
+        let old = ShardReader::open(&path).unwrap();
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        assert!(old.is_mapped());
+        // Rewrite the path with a one-record shard while `old` maps it.
+        // A rewrite in place would truncate the mapped file, and reading
+        // its old tail would raise SIGBUS.
+        write_shard(&pool[..1], &path);
+        for i in 0..4000 {
+            assert_eq!(old.record_bytes(i).unwrap(), &encoded[i % 16][..]);
+        }
+        old.verify().unwrap();
+        assert_eq!(ShardReader::open(&path).unwrap().len(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     #[should_panic(expected = "empty shard")]
     fn empty_shards_cannot_be_written() {
         let _ = ShardWriter::new().to_bytes();
+    }
+    /// The byte columns of a hex dump, whitespace-separated pairs.
+    fn unhex(dump: &str) -> Vec<u8> {
+        dump.split_whitespace().map(|h| u8::from_str_radix(h, 16).unwrap()).collect()
+    }
+
+    /// The bytes of a one-record shard: a single atom (species 3 at the
+    /// origin), dataset code 0, no edges, no forces.
+    fn one_atom_shard(targets: Targets) -> Vec<u8> {
+        let graph = MaterialGraph::new(vec![3], vec![Vec3::new(0.0, 0.0, 0.0)]);
+        let mut w = ShardWriter::new();
+        w.push(&Sample { dataset: DatasetId::MaterialsProject, graph, targets, forces: None });
+        w.to_bytes()
+    }
+
+    #[test]
+    fn writer_reproduces_the_spec_worked_example() {
+        // docs/SHARD_FORMAT.md, "Worked example": 140 bytes, file CRC
+        // 0x5CDF3C4C.
+        let expect = unhex(
+            "89 4d 53 48 52 44 0d 0a  01 00 00 00 03 00 00 00
+             4d 45 54 41 20 20 20 20  18 00 00 00 00 00 00 00
+             01 00 00 00 00 00 00 00  00 00 00 00 01 00 00 00
+             03 29 cd 15 00 00 00 00  49 4e 44 58 20 20 20 20
+             10 00 00 00 00 00 00 00  00 00 00 00 00 00 00 00
+             20 00 00 00 00 00 00 00  44 41 54 41 20 20 20 20
+             20 00 00 00 00 00 00 00  00 01 00 00 01 00 00 00
+             00 00 00 00 03 00 00 00  00 00 00 00 00 00 00 00
+             00 00 00 00 00 00 c0 3f  4c 3c df 5c",
+        );
+        assert_eq!(expect.len(), 140);
+        assert_eq!(one_atom_shard(Targets { band_gap: Some(1.5), ..Default::default() }), expect);
+    }
+
+    #[test]
+    fn data_off_the_8_byte_grid_is_followed_by_the_crc_unpadded() {
+        // Two targets make DATA 36 bytes (≡ 4 mod 8); the file CRC
+        // follows it directly, with no padding.
+        let expect = unhex(
+            "89 4d 53 48 52 44 0d 0a  01 00 00 00 03 00 00 00
+             4d 45 54 41 20 20 20 20  18 00 00 00 00 00 00 00
+             01 00 00 00 00 00 00 00  00 00 00 00 01 00 00 00
+             f9 27 87 91 00 00 00 00  49 4e 44 58 20 20 20 20
+             10 00 00 00 00 00 00 00  00 00 00 00 00 00 00 00
+             24 00 00 00 00 00 00 00  44 41 54 41 20 20 20 20
+             24 00 00 00 00 00 00 00  00 03 00 00 01 00 00 00
+             00 00 00 00 03 00 00 00  00 00 00 00 00 00 00 00
+             00 00 00 00 00 00 c0 3f  00 00 10 c0 51 d2 63 14",
+        );
+        assert_eq!(expect.len(), 144);
+        let targets = Targets { band_gap: Some(1.5), fermi_energy: Some(-2.25), ..Default::default() };
+        assert_eq!(one_atom_shard(targets), expect);
     }
 }

@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::sample::{Dataset, DatasetId, Sample};
 use crate::shard::{ShardError, ShardReader, ShardWriter};
+use matsciml_ckpt::write_durable;
 
 /// Manifest format identifier (bumped only on incompatible change).
 pub const MANIFEST_FORMAT: &str = "matsciml-shard/v1";
@@ -90,12 +91,12 @@ impl ShardManifest {
         Ok(m)
     }
 
-    /// Write `manifest.json` into `dir`.
+    /// Write `manifest.json` into `dir` through [`write_durable`].
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<(), ShardError> {
         let path = dir.as_ref().join("manifest.json");
         let text = serde_json::to_string_pretty(self)
             .map_err(|e| ShardError::Malformed(format!("manifest serialization: {e}")))?;
-        std::fs::write(&path, text + "\n")?;
+        write_durable(&path, (text + "\n").as_bytes())?;
         Ok(())
     }
 }
@@ -154,45 +155,17 @@ pub fn write_corpus_iter(
     assert!(options.shard_samples > 0, "shard_samples must be positive");
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
-    if options.workers > 1 {
-        return write_corpus_parallel(samples, dir, options);
-    }
-    let mut shards = Vec::new();
-    let mut corpus_id: Option<DatasetId> = None;
-    let mut writer = ShardWriter::new();
-    let mut flush = |writer: &mut ShardWriter,
-                     shards: &mut Vec<ShardEntry>|
-     -> Result<(), ShardError> {
-        let Some(shard_id) = writer.dataset() else {
-            return Ok(()); // empty writer, nothing to flush
-        };
-        corpus_id = Some(match corpus_id {
-            None => shard_id,
-            Some(d) if d == shard_id => d,
-            Some(_) => DatasetId::Mixed,
-        });
-        let file = shard_file_name(shards.len());
-        let path = dir.join(&file);
-        let info = writer.write(&path)?;
-        if options.verify {
-            ShardReader::open(&path)?.verify()?;
-        }
-        shards.push(ShardEntry {
-            file,
-            samples: info.samples,
-            bytes: info.bytes,
-            crc32: info.crc32,
-        });
-        *writer = ShardWriter::new();
-        Ok(())
+    let shards = fill_shards(samples, options.shard_samples);
+    let written = if options.workers > 1 {
+        write_shards_parallel(shards, dir, options)?
+    } else {
+        shards
+            .enumerate()
+            .map(|(index, shard)| flush_shard(&shard, dir, index, options.verify))
+            .collect::<Result<Vec<_>, _>>()?
     };
-    for sample in samples {
-        writer.push(&sample);
-        if writer.len() >= options.shard_samples {
-            flush(&mut writer, &mut shards)?;
-        }
-    }
-    flush(&mut writer, &mut shards)?;
+    let corpus_id = written.iter().fold(None, |set, &(id, _)| Some(DatasetId::merge(set, id)));
+    let shards: Vec<ShardEntry> = written.into_iter().map(|(_, entry)| entry).collect();
     let Some(corpus_id) = corpus_id else {
         return Err(ShardError::Malformed(
             "refusing to write an empty corpus (no samples)".into(),
@@ -209,18 +182,58 @@ pub fn write_corpus_iter(
     Ok(manifest)
 }
 
+/// Cut `samples` into shards of `shard_samples` records, the last one
+/// holding the remainder. Shards are filled one at a time, as they are
+/// consumed, so memory is bounded by the shards in flight.
+fn fill_shards(
+    samples: impl IntoIterator<Item = Sample>,
+    shard_samples: usize,
+) -> impl Iterator<Item = ShardWriter> {
+    let mut samples = samples.into_iter().fuse();
+    std::iter::from_fn(move || {
+        let mut shard = ShardWriter::new();
+        for sample in samples.by_ref() {
+            shard.push(&sample);
+            if shard.len() >= shard_samples {
+                break;
+            }
+        }
+        (!shard.is_empty()).then_some(shard)
+    })
+}
+
+/// Write a non-empty shard as corpus file number `index`, re-open and
+/// CRC-verify it when `verify` is set, and return its provenance and
+/// manifest entry.
+fn flush_shard(
+    writer: &ShardWriter,
+    dir: &Path,
+    index: usize,
+    verify: bool,
+) -> Result<(DatasetId, ShardEntry), ShardError> {
+    let shard_id = writer.dataset().expect("only non-empty shards are flushed");
+    let file = shard_file_name(index);
+    let path = dir.join(&file);
+    let info = writer.write(&path)?;
+    if verify {
+        ShardReader::open(&path)?.verify()?;
+    }
+    let entry = ShardEntry { file, samples: info.samples, bytes: info.bytes, crc32: info.crc32 };
+    Ok((shard_id, entry))
+}
 
 /// The `workers > 1` body of [`write_corpus_iter`]: a producer/pool
 /// pipeline over whole shards. The producer (the calling thread) fills
-/// one [`ShardWriter`] at a time and hands each full shard, tagged with
-/// its index, to the pool; workers encode/write/verify concurrently.
+/// one shard at a time from `shards` and hands each, tagged with its
+/// index, to the pool; workers run [`flush_shard`] concurrently.
 /// Shard contents are independent and file names are positional, so the
-/// on-disk corpus is byte-identical to the serial writer's.
-fn write_corpus_parallel(
-    samples: impl IntoIterator<Item = Sample>,
+/// on-disk corpus is byte-identical to the serial writer's. Returns the
+/// flushed shards in index order, or the first error in that order.
+fn write_shards_parallel(
+    shards: impl Iterator<Item = ShardWriter>,
     dir: &Path,
     options: CorpusWriteOptions,
-) -> Result<ShardManifest, ShardError> {
+) -> Result<Vec<(DatasetId, ShardEntry)>, ShardError> {
     use std::sync::mpsc;
 
     type ShardResult = Result<(DatasetId, ShardEntry), ShardError>;
@@ -231,31 +244,14 @@ fn write_corpus_parallel(
     let job_rx = Arc::new(Mutex::new(job_rx));
     let (res_tx, res_rx) = mpsc::channel::<(usize, ShardResult)>();
 
-    let (count, mut results) = std::thread::scope(|scope| {
+    let results = std::thread::scope(|scope| {
         for _ in 0..options.workers {
             let job_rx = Arc::clone(&job_rx);
             let res_tx = res_tx.clone();
             scope.spawn(move || loop {
                 let job = job_rx.lock().expect("shard job lock").recv();
                 let Ok((index, writer)) = job else { break };
-                let result = (|| {
-                    let shard_id = writer.dataset().expect("pool only receives non-empty shards");
-                    let file = shard_file_name(index);
-                    let path = dir.join(&file);
-                    let info = writer.write(&path)?;
-                    if options.verify {
-                        ShardReader::open(&path)?.verify()?;
-                    }
-                    Ok((
-                        shard_id,
-                        ShardEntry {
-                            file,
-                            samples: info.samples,
-                            bytes: info.bytes,
-                            crc32: info.crc32,
-                        },
-                    ))
-                })();
+                let result = flush_shard(&writer, dir, index, options.verify);
                 if res_tx.send((index, result)).is_err() {
                     break;
                 }
@@ -264,21 +260,13 @@ fn write_corpus_parallel(
         drop(res_tx);
 
         let mut next = 0usize;
-        let mut writer = ShardWriter::new();
-        for sample in samples {
-            writer.push(&sample);
-            if writer.len() >= options.shard_samples {
-                let full = std::mem::replace(&mut writer, ShardWriter::new());
-                // Send fails only when every worker died; their error
-                // reports are in the result channel.
-                if job_tx.send((next, full)).is_err() {
-                    break;
-                }
-                next += 1;
+        for (index, shard) in shards.enumerate() {
+            // Send fails only when every worker died; their error
+            // reports are in the result channel.
+            if job_tx.send((index, shard)).is_err() {
+                break;
             }
-        }
-        if !writer.is_empty() && job_tx.send((next, writer)).is_ok() {
-            next += 1;
+            next = index + 1;
         }
         drop(job_tx);
 
@@ -286,36 +274,12 @@ fn write_corpus_parallel(
         for (index, result) in res_rx {
             results[index] = Some(result);
         }
-        (next, results)
+        results
     });
-
-    let mut shards = Vec::with_capacity(count);
-    let mut corpus_id: Option<DatasetId> = None;
-    for slot in results.iter_mut() {
-        let (shard_id, entry) = slot
-            .take()
-            .expect("every dispatched shard reports a result")?;
-        corpus_id = Some(match corpus_id {
-            None => shard_id,
-            Some(d) if d == shard_id => d,
-            Some(_) => DatasetId::Mixed,
-        });
-        shards.push(entry);
-    }
-    let Some(corpus_id) = corpus_id else {
-        return Err(ShardError::Malformed(
-            "refusing to write an empty corpus (no samples)".into(),
-        ));
-    };
-    let manifest = ShardManifest {
-        format: MANIFEST_FORMAT.into(),
-        dataset: corpus_id.name().into(),
-        total_samples: shards.iter().map(|s| s.samples).sum(),
-        shard_samples: options.shard_samples as u64,
-        shards,
-    };
-    manifest.save(dir)?;
-    Ok(manifest)
+    results
+        .into_iter()
+        .map(|slot| slot.expect("every dispatched shard reports a result"))
+        .collect()
 }
 
 /// How many shards a [`StreamingDataset`] keeps open at once by default.

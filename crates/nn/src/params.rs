@@ -18,7 +18,8 @@ pub struct ParamId(pub usize);
 /// per-tensor handles; gradients live in one flat arena in registration
 /// order ([`ParamSet::bucket_layout`]), so a run of consecutive
 /// parameters is one contiguous range. On disk a store lives inside a
-/// `.mckpt` file (`matsciml-ckpt`'s `PARAMS` codec), bit-exact.
+/// `.mckpt` file (the `PARAMS` section codec in `matsciml-train`),
+/// bit-exact.
 #[derive(Debug, Clone, Default)]
 pub struct ParamSet {
     values: Vec<Tensor>,

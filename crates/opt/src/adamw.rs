@@ -50,8 +50,9 @@ pub struct AdamW {
 
 /// A complete, owned snapshot of an [`AdamW`] instance — everything
 /// needed to reconstruct the optimizer mid-run with bit-identical future
-/// updates. This is the checkpointing surface: `matsciml-ckpt` encodes
-/// and decodes this struct, never the optimizer's private fields.
+/// updates. This is the checkpointing surface: the `OPTADAMW` section
+/// codec in `matsciml-train` encodes and decodes this struct, never the
+/// optimizer's private fields.
 #[derive(Debug, Clone)]
 pub struct AdamWState {
     /// Hyperparameters at snapshot time (including the scheduler-mutated

@@ -20,16 +20,17 @@
 
 use std::path::Path;
 
-use matsciml_ckpt::{
-    decode_adamw, decode_params, decode_params_half, encode_adamw, encode_params,
-    encode_params_half, tags, ByteReader, ByteWriter, CkptError, CkptReader, CkptWriter,
-};
+use matsciml_ckpt::{tags, ByteReader, ByteWriter, CkptError, CkptReader, CkptWriter};
 use matsciml_nn::ParamSet;
 use matsciml_obs::Obs;
 use matsciml_opt::AdamWState;
 use matsciml_tensor::Precision;
 use serde::{Deserialize, Serialize};
 
+use crate::codec::{
+    decode_adamw, decode_params, decode_params_half, encode_adamw, encode_params,
+    encode_params_half,
+};
 use crate::model::{EncoderKind, TaskModel};
 use crate::task::TaskHead;
 use crate::trainer::TrainConfig;

@@ -1,33 +1,45 @@
-//! Typed codecs over the container: [`matsciml_nn::ParamSet`] values and
-//! [`matsciml_opt::AdamWState`] as section payloads.
+//! Typed checkpoint section codecs: [`ParamSet`] values (`PARAMS`, and
+//! packed f16/bf16 in `PRMH`) and [`AdamWState`] (`OPTADAMW`) as payloads
+//! of the `matsciml-ckpt` container.
 //!
-//! Tensor wire form (shared by both sections): `u32` ndim, `u64` dims,
-//! then `numel` f32 bit patterns in row-major order. Gradients are not
-//! stored — a loaded `ParamSet` starts with zeroed accumulators, which is
-//! exactly the state at a step boundary (the trainer zeroes gradients
-//! before each step).
+//! Tensor wire form (shared by `PARAMS` and `OPTADAMW`): `u32` ndim,
+//! `u64` dims, then `numel` f32 bit patterns in row-major order.
+//! Gradients are not stored — a loaded `ParamSet` starts with zeroed
+//! accumulators, which is exactly the state at a step boundary.
+//!
+//! Counts come from the file, so nothing is preallocated from one: a
+//! crafted count fails on the first item the payload cannot hold.
 
+use matsciml_ckpt::{ByteReader, ByteWriter, CkptError};
 use matsciml_nn::{ParamId, ParamSet};
 use matsciml_opt::{AdamWConfig, AdamWState};
 use matsciml_tensor::{HalfTensor, Precision, Tensor};
-
-use crate::format::{ByteReader, ByteWriter, CkptError};
 
 /// Guard against absurd dimension counts from corrupt-but-checksummed
 /// payloads (a hand-edited file with a recomputed CRC).
 const MAX_NDIM: u32 = 8;
 
-fn put_tensor(w: &mut ByteWriter, t: &Tensor) {
-    w.put_u32(t.shape().len() as u32);
-    for &d in t.shape() {
+fn put_shape(w: &mut ByteWriter, shape: &[usize]) {
+    w.put_u32(shape.len() as u32);
+    for &d in shape {
         w.put_u64(d as u64);
     }
+}
+
+fn put_tensor(w: &mut ByteWriter, t: &Tensor) {
+    put_shape(w, t.shape());
     for &v in t.as_slice() {
         w.put_f32(v);
     }
 }
 
-fn get_tensor(r: &mut ByteReader<'_>, what: &str) -> Result<Tensor, CkptError> {
+/// Read a tensor header — `u32` rank (at most [`MAX_NDIM`]), `u64` dims —
+/// and then the `numel × elem_bytes` element bytes it declares.
+fn get_shaped<'a>(
+    r: &mut ByteReader<'a>,
+    elem_bytes: usize,
+    what: &str,
+) -> Result<(Vec<usize>, &'a [u8]), CkptError> {
     let ndim = r.get_u32(what)?;
     if ndim > MAX_NDIM {
         return Err(CkptError::Malformed(format!(
@@ -46,24 +58,23 @@ fn get_tensor(r: &mut ByteReader<'_>, what: &str) -> Result<Tensor, CkptError> {
         shape.push(d);
     }
     let need = numel
-        .checked_mul(4)
+        .checked_mul(elem_bytes)
         .ok_or_else(|| CkptError::Malformed(format!("{what}: tensor byte size overflows")))?;
-    if r.remaining() < need {
-        return Err(CkptError::Malformed(format!(
-            "{what}: payload exhausted reading {numel} scalars"
-        )));
-    }
-    let mut data = Vec::with_capacity(numel);
-    for _ in 0..numel {
-        data.push(r.get_f32(what)?);
-    }
-    Tensor::from_vec(&shape, data)
-        .map_err(|e| CkptError::Malformed(format!("{what}: {e:?}")))
+    Ok((shape, r.get_bytes(need, what)?))
+}
+
+fn get_tensor(r: &mut ByteReader<'_>, what: &str) -> Result<Tensor, CkptError> {
+    let (shape, bytes) = get_shaped(r, 4, what)?;
+    let data = bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
+        .collect();
+    Tensor::from_vec(&shape, data).map_err(|e| CkptError::Malformed(format!("{what}: {e:?}")))
 }
 
 /// Encode a parameter store's names, shapes, and values as a `PARAMS`
 /// section payload.
-pub fn encode_params(params: &ParamSet) -> Vec<u8> {
+pub(crate) fn encode_params(params: &ParamSet) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(params.len() as u64);
     for i in 0..params.len() {
@@ -75,38 +86,31 @@ pub fn encode_params(params: &ParamSet) -> Vec<u8> {
 }
 
 /// Decode a `PARAMS` payload into a fresh store (gradients zeroed).
-pub fn decode_params(payload: &[u8]) -> Result<ParamSet, CkptError> {
+pub(crate) fn decode_params(payload: &[u8]) -> Result<ParamSet, CkptError> {
     let mut r = ByteReader::new(payload);
     let count = r.get_u64("param count")?;
-    let count = usize::try_from(count)
-        .map_err(|_| CkptError::Malformed("param count overflows usize".into()))?;
     let mut params = ParamSet::new();
     for i in 0..count {
         let name = r.get_str("param name")?;
         let value = get_tensor(&mut r, &format!("param {i} ({name})"))?;
         params.register(name, value);
     }
-    if r.remaining() != 0 {
-        return Err(CkptError::Malformed(format!(
-            "{} stray bytes after last parameter",
-            r.remaining()
-        )));
-    }
+    r.finish("the last parameter")?;
     Ok(params)
 }
 
 /// A decoded `PRMH` section: parameters dequantized back to f32, plus
 /// the quantization summary recorded at save time.
 #[derive(Debug)]
-pub struct HalfParams {
+pub(crate) struct HalfParams {
     /// Storage precision the section was written with (f16 or bf16).
-    pub precision: Precision,
+    pub(crate) precision: Precision,
     /// Parameter store holding the dequantized values (each f32 is the
     /// exact value its packed bits represent; gradients zeroed).
-    pub params: ParamSet,
+    pub(crate) params: ParamSet,
     /// Per-tensor largest absolute quantization error, in registration
     /// order — measured against the full-precision values at save time.
-    pub max_abs_errors: Vec<f32>,
+    pub(crate) max_abs_errors: Vec<f32>,
 }
 
 /// Encode a parameter store as a quantized `PRMH` section payload:
@@ -119,7 +123,7 @@ pub struct HalfParams {
 /// # Panics
 /// If `precision` is [`Precision::F32`] — full precision belongs in a
 /// `PARAMS` section.
-pub fn encode_params_half(params: &ParamSet, precision: Precision) -> Vec<u8> {
+pub(crate) fn encode_params_half(params: &ParamSet, precision: Precision) -> Vec<u8> {
     assert!(
         precision != Precision::F32,
         "encode_params_half: use PARAMS for full-precision storage"
@@ -133,22 +137,17 @@ pub fn encode_params_half(params: &ParamSet, precision: Precision) -> Vec<u8> {
         let half = HalfTensor::quantize(value, precision);
         w.put_str(params.name(id));
         w.put_f32(half.max_abs_error(value));
-        w.put_u32(half.shape().len() as u32);
-        for &d in half.shape() {
-            w.put_u64(d as u64);
-        }
-        let mut packed = Vec::with_capacity(half.numel() * 2);
+        put_shape(&mut w, half.shape());
         for &b in half.bits() {
-            packed.extend_from_slice(&b.to_le_bytes());
+            w.put_bytes(&b.to_le_bytes());
         }
-        w.put_bytes(&packed);
     }
     w.into_bytes()
 }
 
 /// Decode a `PRMH` payload, dequantizing every tensor back to the
 /// exact f32 values its packed bits represent.
-pub fn decode_params_half(payload: &[u8]) -> Result<HalfParams, CkptError> {
+pub(crate) fn decode_params_half(payload: &[u8]) -> Result<HalfParams, CkptError> {
     let mut r = ByteReader::new(payload);
     let tag = r.get_u32("half precision tag")?;
     let precision = u8::try_from(tag)
@@ -157,35 +156,13 @@ pub fn decode_params_half(payload: &[u8]) -> Result<HalfParams, CkptError> {
         .filter(|&p| p != Precision::F32)
         .ok_or_else(|| CkptError::Malformed(format!("unknown half precision tag {tag}")))?;
     let count = r.get_u64("half param count")?;
-    let count = usize::try_from(count)
-        .map_err(|_| CkptError::Malformed("half param count overflows usize".into()))?;
     let mut params = ParamSet::new();
-    let mut max_abs_errors = Vec::with_capacity(count);
+    let mut max_abs_errors = Vec::new();
     for i in 0..count {
         let name = r.get_str("half param name")?;
         let what = format!("half param {i} ({name})");
         let max_abs_error = r.get_f32(&what)?;
-        let ndim = r.get_u32(&what)?;
-        if ndim > MAX_NDIM {
-            return Err(CkptError::Malformed(format!(
-                "{what}: implausible tensor rank {ndim}"
-            )));
-        }
-        let mut shape = Vec::with_capacity(ndim as usize);
-        let mut numel = 1usize;
-        for _ in 0..ndim {
-            let d = r.get_u64(&what)?;
-            let d = usize::try_from(d)
-                .map_err(|_| CkptError::Malformed(format!("{what}: dimension overflows usize")))?;
-            numel = numel
-                .checked_mul(d)
-                .ok_or_else(|| CkptError::Malformed(format!("{what}: tensor volume overflows")))?;
-            shape.push(d);
-        }
-        let need = numel
-            .checked_mul(2)
-            .ok_or_else(|| CkptError::Malformed(format!("{what}: tensor byte size overflows")))?;
-        let packed = r.get_bytes(need, &what)?;
+        let (shape, packed) = get_shaped(&mut r, 2, &what)?;
         let bits: Vec<u16> = packed
             .chunks_exact(2)
             .map(|c| u16::from_le_bytes([c[0], c[1]]))
@@ -194,12 +171,7 @@ pub fn decode_params_half(payload: &[u8]) -> Result<HalfParams, CkptError> {
         params.register(name, value);
         max_abs_errors.push(max_abs_error);
     }
-    if r.remaining() != 0 {
-        return Err(CkptError::Malformed(format!(
-            "{} stray bytes after last half parameter",
-            r.remaining()
-        )));
-    }
+    r.finish("the last half parameter")?;
     Ok(HalfParams {
         precision,
         params,
@@ -209,7 +181,7 @@ pub fn decode_params_half(payload: &[u8]) -> Result<HalfParams, CkptError> {
 
 /// Encode AdamW state (hyperparameters, step count, both moment vectors)
 /// as an `OPTADAMW` section payload.
-pub fn encode_adamw(state: &AdamWState) -> Vec<u8> {
+pub(crate) fn encode_adamw(state: &AdamWState) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_f32(state.cfg.lr);
     w.put_f32(state.cfg.beta1);
@@ -228,7 +200,7 @@ pub fn encode_adamw(state: &AdamWState) -> Vec<u8> {
 }
 
 /// Decode an `OPTADAMW` payload.
-pub fn decode_adamw(payload: &[u8]) -> Result<AdamWState, CkptError> {
+pub(crate) fn decode_adamw(payload: &[u8]) -> Result<AdamWState, CkptError> {
     let mut r = ByteReader::new(payload);
     let cfg = AdamWConfig {
         lr: r.get_f32("adamw lr")?,
@@ -239,22 +211,15 @@ pub fn decode_adamw(payload: &[u8]) -> Result<AdamWState, CkptError> {
     };
     let t = r.get_u64("adamw step count")?;
     let count = r.get_u64("adamw moment count")?;
-    let count = usize::try_from(count)
-        .map_err(|_| CkptError::Malformed("moment count overflows usize".into()))?;
-    let mut m = Vec::with_capacity(count);
+    let mut m = Vec::new();
     for i in 0..count {
         m.push(get_tensor(&mut r, &format!("adamw m[{i}]"))?);
     }
-    let mut v = Vec::with_capacity(count);
+    let mut v = Vec::new();
     for i in 0..count {
         v.push(get_tensor(&mut r, &format!("adamw v[{i}]"))?);
     }
-    if r.remaining() != 0 {
-        return Err(CkptError::Malformed(format!(
-            "{} stray bytes after optimizer moments",
-            r.remaining()
-        )));
-    }
+    r.finish("the optimizer moments")?;
     for (i, (mi, vi)) in m.iter().zip(&v).enumerate() {
         if mi.shape() != vi.shape() {
             return Err(CkptError::Malformed(format!(
@@ -270,6 +235,8 @@ pub fn decode_adamw(payload: &[u8]) -> Result<AdamWState, CkptError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matsciml_ckpt::{tags, CkptReader, CkptWriter};
+    use proptest::prelude::*;
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -375,6 +342,86 @@ mod tests {
                 matches!(decode_params(&full[..cut]), Err(CkptError::Malformed(_))),
                 "cut at {cut} must be Malformed"
             );
+        }
+    }
+
+    #[test]
+    fn crafted_counts_are_malformed_not_an_abort() {
+        // A count of 2^40 once sized a preallocation from the file and
+        // aborted the process; now the first missing item ends decoding.
+        let count = 1u64 << 40;
+        let mut half = ByteWriter::new();
+        half.put_u32(u32::from(Precision::F16.tag_byte()));
+        half.put_u64(count);
+        let mut adamw = ByteWriter::new();
+        for _ in 0..5 {
+            adamw.put_f32(0.5);
+        }
+        adamw.put_u64(7);
+        adamw.put_u64(count);
+        let mut params = ByteWriter::new();
+        params.put_u64(count);
+        for result in [
+            decode_params_half(&half.into_bytes()).map(drop),
+            decode_adamw(&adamw.into_bytes()).map(drop),
+            decode_params(&params.into_bytes()).map(drop),
+        ] {
+            assert!(matches!(result, Err(CkptError::Malformed(_))));
+        }
+    }
+
+    /// Strategy for awkward tensor shapes: scalars-as-[1], skinny
+    /// matrices, singleton dimensions, rank-3 blocks.
+    fn odd_shape() -> impl Strategy<Value = Vec<usize>> {
+        (1usize..4, 1usize..8, 1usize..8, 1usize..5).prop_map(|(rank, a, b, c)| match rank {
+            1 => vec![a],
+            2 => vec![a, b],
+            _ => vec![a, b, c],
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn param_roundtrip_is_bit_exact_over_odd_shapes(
+            shapes in proptest::collection::vec(odd_shape(), 1..6),
+            seed in any::<u64>(),
+        ) {
+            // Fill with values spanning magnitudes, signed zeros, subnormals.
+            let mut state = seed | 1;
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let bits = (state >> 32) as u32;
+                match bits % 17 {
+                    0 => -0.0f32,
+                    1 => f32::MIN_POSITIVE / 2.0, // subnormal
+                    2 => 1e-38,
+                    3 => -3.4e38,
+                    _ => f32::from_bits(bits % 0x7F7F_FFFF), // arbitrary finite
+                }
+            };
+            let mut ps = ParamSet::new();
+            for (i, shape) in shapes.iter().enumerate() {
+                let numel: usize = shape.iter().product();
+                let data: Vec<f32> = (0..numel).map(|_| next()).collect();
+                ps.register(format!("p{i}"), Tensor::from_vec(shape, data).unwrap());
+            }
+
+            // Through the full container, not just the codec.
+            let mut w = CkptWriter::new();
+            w.section(tags::PARAMS, encode_params(&ps));
+            let bytes = w.to_bytes();
+            let r = CkptReader::from_bytes(&bytes).unwrap();
+            let back = decode_params(r.require(tags::PARAMS).unwrap()).unwrap();
+
+            prop_assert_eq!(back.len(), ps.len());
+            for i in 0..ps.len() {
+                let id = ParamId(i);
+                prop_assert_eq!(back.name(id), ps.name(id));
+                prop_assert_eq!(back.value(id).shape(), ps.value(id).shape());
+                prop_assert_eq!(bits(back.value(id)), bits(ps.value(id)), "param {} bit patterns drifted", i);
+            }
         }
     }
 }

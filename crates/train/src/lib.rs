@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+mod codec;
 pub mod collate;
 pub mod ddp;
 mod forcefield;

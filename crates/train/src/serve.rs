@@ -530,6 +530,7 @@ fn serve_batch(shared: &Shared, g: &mut Graph, cache: &mut CollateCache, jobs: V
 mod tests {
     use super::*;
     use crate::task::{TargetKind, TaskHeadConfig};
+    use matsciml_ckpt::{tags, ByteWriter, CkptReader, CkptWriter};
     use matsciml_datasets::{DatasetId, SyntheticMaterialsProject};
     use matsciml_models::EgnnConfig;
 
@@ -787,7 +788,17 @@ mod tests {
             21,
         );
         crate::save_model(&narrow, &narrow_model, Precision::F32).unwrap();
-        for bad in [dir.join("missing.mckpt"), json, noise, narrow] {
+        // A checksummed artifact whose PRMH section claims 2^40 tensors.
+        let crafted = dir.join("crafted.mckpt");
+        let mut prmh = ByteWriter::new();
+        prmh.put_u32(u32::from(Precision::F16.tag_byte()));
+        prmh.put_u64(1 << 40);
+        let arch = CkptReader::read(&path).unwrap();
+        let mut w = CkptWriter::new();
+        w.section(tags::MODEL_JSON, arch.require(tags::MODEL_JSON).unwrap().to_vec());
+        w.section(tags::PARAMS_HALF, prmh.into_bytes());
+        w.write(&crafted).unwrap();
+        for bad in [dir.join("missing.mckpt"), json, noise, narrow, crafted] {
             assert!(srv.reload(&bad).is_err(), "{} must not load", bad.display());
             assert_eq!(srv.predict_indices(vec![idx]).unwrap()[0], expect);
         }

@@ -19,6 +19,24 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== bench gate: benches compile =="
 cargo bench -p matsciml-bench --no-run
 
+echo "== layering gate: one container crate, a leaf; one CRC-32 =="
+# matsciml-ckpt is the container under both on-disk formats
+# (docs/ARCHITECTURE.md): it depends on no other matsciml crate, so the
+# data layer can use it without pulling in nn or opt. And crates/ holds
+# exactly one CRC-32 implementation.
+ckpt_deps=$(cargo tree -p matsciml-ckpt -e normal --offline --prefix none |
+  grep '^matsciml-' | grep -v '^matsciml-ckpt ' || true)
+[[ -z "$ckpt_deps" ]] || {
+  echo "verify: matsciml-ckpt must not depend on other matsciml crates, found:" >&2
+  echo "$ckpt_deps" >&2
+  exit 1
+}
+crc_impls=$(grep -rn 'fn crc32' crates --include='*.rs' | wc -l)
+[[ "$crc_impls" -eq 1 ]] || {
+  echo "verify: expected exactly one 'fn crc32' under crates/, found $crc_impls" >&2
+  exit 1
+}
+
 echo "== tier-1: tests (root package) =="
 cargo test -q
 

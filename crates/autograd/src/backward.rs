@@ -3,7 +3,7 @@
 use matsciml_tensor::{edge, fused, Tensor};
 
 use crate::graph::{Graph, Op, Var};
-use crate::ops::{sigmoid, SELU_ALPHA, SELU_SCALE};
+use crate::ops::{expf, sigmoid, SELU_ALPHA, SELU_SCALE};
 
 impl Graph {
     /// Run reverse-mode accumulation from `loss` (seeded with ones) back to
@@ -119,7 +119,7 @@ impl Graph {
                     if a > 0.0 {
                         SELU_SCALE
                     } else {
-                        SELU_SCALE * SELU_ALPHA * a.exp()
+                        SELU_SCALE * SELU_ALPHA * expf(a)
                     }
                 });
                 vec![(*x, g.mul(&d))]

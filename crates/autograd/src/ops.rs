@@ -8,9 +8,11 @@ use rand::Rng;
 
 use crate::graph::{Graph, Op, Var};
 
-// The activation scalar formulas live in `matsciml_tensor::fused` so the
-// fused kernels and the op-by-op builders/VJPs here share one source and
-// stay bit-identical.
+// The activation scalar formulas live in `matsciml_tensor::fused`, and
+// their `exp` is `matsciml_tensor::expf`, so the fused kernels and the
+// op-by-op forward ops and VJPs here share one source and stay
+// bit-identical.
+pub(crate) use matsciml_tensor::expf;
 pub(crate) use matsciml_tensor::fused::{sigmoid, SELU_ALPHA, SELU_SCALE};
 
 impl Graph {
@@ -122,7 +124,7 @@ impl Graph {
             if a > 0.0 {
                 SELU_SCALE * a
             } else {
-                SELU_SCALE * SELU_ALPHA * (a.exp() - 1.0)
+                SELU_SCALE * SELU_ALPHA * (expf(a) - 1.0)
             }
         });
         self.push(v, Op::Selu(x))

@@ -13,8 +13,9 @@
 //! activated `y` and overwrites the pre-activation `z` — which nothing
 //! reads afterwards — with `act'(z)`, so the backward pass is the single
 //! multiply `g · act'(z)` ([`act_backward`]): no transcendental and no
-//! branch runs twice per element. For SiLU, sigmoid and SELU one libm
-//! `exp` per element serves both the value and the derivative.
+//! branch runs twice per element. For SiLU, sigmoid and SELU one `exp`
+//! per element ([`crate::expf`], vectorized on the lane tier) serves both
+//! the value and the derivative.
 //!
 //! **Bit-exactness is a hard contract.** Every kernel reproduces the
 //! per-element accumulation order of its unfused counterpart in
@@ -45,6 +46,7 @@
 
 use rayon::prelude::*;
 
+use crate::exp::{expf, expf_in_place};
 use crate::half::Precision;
 use crate::matmul::{dot, ROW_PANEL};
 use crate::par::{par_gate, PAR_MIN_FLOPS};
@@ -63,9 +65,9 @@ pub const SELU_ALPHA: f32 = 1.673_263_2;
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
+        1.0 / (1.0 + expf(-x))
     } else {
-        let e = x.exp();
+        let e = expf(x);
         e / (1.0 + e)
     }
 }
@@ -98,7 +100,7 @@ impl Act {
                 if a > 0.0 {
                     SELU_SCALE * a
                 } else {
-                    SELU_SCALE * SELU_ALPHA * (a.exp() - 1.0)
+                    SELU_SCALE * SELU_ALPHA * (expf(a) - 1.0)
                 }
             }
             Act::Relu => a.max(0.0),
@@ -123,7 +125,7 @@ impl Act {
                 if z > 0.0 {
                     SELU_SCALE
                 } else {
-                    SELU_SCALE * SELU_ALPHA * z.exp()
+                    SELU_SCALE * SELU_ALPHA * expf(z)
                 }
             }
             Act::Relu => {
@@ -336,21 +338,24 @@ pub fn act_backward(g: &Tensor, dact: Option<&Tensor>) -> Tensor {
 ///
 /// Both sigmoid branches call `exp` on `-|z|`; the first pass computes
 /// that argument with the same sign select as [`sigmoid`], so its bits
-/// match the branch the reference takes. That pass makes the row's libm
-/// calls — one `exp` (SiLU, sigmoid, SELU) or `tanh` per element — and
-/// parks the results in `y`.
+/// match the branch the reference takes, and parks `exp` of it in `y`
+/// — one [`expf`] per element (SiLU, sigmoid, SELU), run by the vector
+/// body when `isa` is a lane tier with FMA (bit-identical to the scalar
+/// form, so `isa` only picks the speed). `Tanh` makes one libm `tanh`
+/// call per element instead.
 /// The second pass is branch-free selects, divides and multiplies that
 /// the compiler vectorizes, each expression keeping the reference's
 /// operation order (no FMA). `Relu` needs one pass; `Identity` copies
 /// and writes the constant derivative.
-pub(crate) fn act_row(act: Act, z: &mut [f32], y: &mut [f32]) {
+pub(crate) fn act_row(act: Act, z: &mut [f32], y: &mut [f32], isa: Option<simd::Isa>) {
     debug_assert_eq!(z.len(), y.len());
     // Pass one for the sigmoid family: `exp(-|z|)` into `y`.
-    fn exp_neg_abs(z: &[f32], y: &mut [f32]) {
+    let exp_neg_abs = |z: &[f32], y: &mut [f32]| {
         for (e, &zv) in y.iter_mut().zip(z) {
-            *e = (if zv >= 0.0 { -zv } else { zv }).exp();
+            *e = if zv >= 0.0 { -zv } else { zv };
         }
-    }
+        expf_in_place(y, isa);
+    };
     // `sigmoid(z)` from `e = exp(-|z|)`: both branches of
     // [`sigmoid`] divide by `1 + e`, only the numerator differs.
     #[inline(always)]
@@ -383,8 +388,9 @@ pub(crate) fn act_row(act: Act, z: &mut [f32], y: &mut [f32]) {
             // feeding `0.0` there keeps the call cheap and the select
             // discards it.
             for (e, &zv) in y.iter_mut().zip(z.iter()) {
-                *e = (if zv > 0.0 { 0.0 } else { zv }).exp();
+                *e = if zv > 0.0 { 0.0 } else { zv };
             }
+            expf_in_place(y, isa);
             for (yv, zv) in y.iter_mut().zip(z.iter_mut()) {
                 let (pos, e) = (*zv > 0.0, *yv);
                 *yv = if pos { SELU_SCALE * *zv } else { SELU_SCALE * SELU_ALPHA * (e - 1.0) };
@@ -461,7 +467,7 @@ fn linear_rows(
                 zrow.iter_mut().zip(bs).for_each(|(zv, &bv)| *zv += bv);
             }
             if let Some(yd) = y.as_deref_mut() {
-                act_row(act, zrow, &mut yd[(i + rr) * n..(i + rr + 1) * n]);
+                act_row(act, zrow, &mut yd[(i + rr) * n..(i + rr + 1) * n], None);
             }
         }
         i += r;
@@ -704,14 +710,17 @@ mod tests {
         use crate::simd::tests::isas;
         let inputs = sweep_inputs();
         for act in ACTS {
-            // The helper on raw inputs.
-            let mut d = inputs.clone();
-            let mut y = vec![0.0f32; inputs.len()];
-            act_row(act, &mut d, &mut y);
+            // The helper on raw inputs, with the scalar `exp` and with
+            // each tier's.
             let want_y: Vec<f32> = inputs.iter().map(|&z| act.eval(z)).collect();
             let want_d: Vec<f32> = inputs.iter().map(|&z| act.dz(z)).collect();
-            assert_eq!(bits(&y), bits(&want_y), "{act:?} act(z), helper");
-            assert_eq!(bits(&d), bits(&want_d), "{act:?} act'(z), helper");
+            for tier in std::iter::once(None).chain(isas().into_iter().map(Some)) {
+                let mut d = inputs.clone();
+                let mut y = vec![0.0f32; inputs.len()];
+                act_row(act, &mut d, &mut y, tier);
+                assert_eq!(bits(&y), bits(&want_y), "{act:?} act(z), helper, tier {tier:?}");
+                assert_eq!(bits(&d), bits(&want_d), "{act:?} act'(z), helper, tier {tier:?}");
+            }
 
             // The helper as each tier's epilogue: one row `z = 1.0 · w`
             // (k = 1, no bias) through the scalar rows (SIMD off) and

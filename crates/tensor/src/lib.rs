@@ -41,6 +41,7 @@
 
 pub mod edge;
 mod elementwise;
+mod exp;
 pub mod fused;
 pub mod half;
 pub mod kernels;
@@ -56,6 +57,7 @@ pub mod simd;
 mod tensor;
 
 pub use edge::{edge_stats, reset_edge_stats, EdgeStats};
+pub use exp::expf;
 pub use fused::Act;
 pub use half::{max_rel_error, quantize_tensor_in_place, HalfTensor, Precision};
 pub use linalg::{Mat3, Vec3};

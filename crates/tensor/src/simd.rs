@@ -38,7 +38,9 @@
 //!   output still folds its own four chains. Every other kernel runs
 //!   its AVX2 body, and narrower strips take the remainder columns.
 //! * **`Avx2`**: 8-wide elementwise kernels and 16 / 8-column GEMM
-//!   strips; two columns' 4-lane `nt` accumulators per ymm.
+//!   strips; two columns' 4-lane `nt` accumulators per ymm. With FMA,
+//!   both this tier and `Avx512` run the activation epilogue's `exp`
+//!   eight lanes at a time (`crate::exp`).
 //! * **`Sse`** (baseline x86-64): 4-wide everything.
 //! * Off ([`set_simd_enabled`]`(false)`, `MATSCIML_SIMD=0`, non-x86
 //!   targets): the canonical scalar loops.
@@ -59,7 +61,10 @@
 //! fallback rounds twice (`mul` then `add`), so every kernel here uses
 //! separate multiply and add intrinsics. Lane-wise IEEE mul / add /
 //! div / sqrt are correctly rounded and therefore bit-identical to
-//! their scalar spellings.
+//! their scalar spellings. The one exception is `exp`
+//! (`crate::exp`): its scalar form is itself written with fused
+//! multiply-adds (`f64::mul_add`), so the vector body's FMAs round
+//! exactly where the scalar ones do.
 //!
 //! The tier is process-togglable ([`set_simd_enabled`], or
 //! `MATSCIML_SIMD=0` in the environment before first use) and
@@ -253,7 +258,7 @@ pub(crate) fn dispatch(lane_groups: usize) -> Option<Isa> {
 }
 
 #[cfg(target_arch = "x86_64")]
-fn fma_available() -> bool {
+pub(crate) fn fma_available() -> bool {
     use std::sync::OnceLock;
     static FMA: OnceLock<bool> = OnceLock::new();
     *FMA.get_or_init(|| {
@@ -547,7 +552,8 @@ pub(crate) fn linear_rows_lanes(
                 vadd(zrow, bs, isa);
             }
             if let Some(yd) = y.as_deref_mut() {
-                crate::fused::act_row(act, zrow, &mut yd[(i + rr) * n..(i + rr + 1) * n]);
+                let yrow = &mut yd[(i + rr) * n..(i + rr + 1) * n];
+                crate::fused::act_row(act, zrow, yrow, Some(isa));
             }
         }
         i += r;
@@ -559,10 +565,10 @@ pub(crate) fn linear_rows_lanes(
 /// of [`linear_rows_lanes`]. Same contract (`z` zeroed, `y` optional,
 /// bias added once after the sum, activation reads the final `z` and
 /// leaves `act'(z)` in its place), but
-/// the accumulation order is *unpinned*: 8-wide AVX2 strips with fused
-/// multiply-add, two-way `k` unrolling in the 8-column strip, and no
-/// zero-skip branch. Outputs are tolerance-checked against the exact
-/// path, never bit-compared. Only reached after [`dispatch_wide`]
+/// the accumulation order is *unpinned*: fused multiply-add strips
+/// (16-wide AVX-512 on an AVX-512 host, else 8-wide AVX2), two-way `k`
+/// unrolling in the 8-column strip, and no zero-skip branch. Outputs
+/// are tolerance-checked against the exact path, never bit-compared. Only reached after [`dispatch_wide`]
 /// answered `true` (AVX2 + FMA verified); the non-x86 body is a plain
 /// scalar gemm to stay compilable.
 #[allow(clippy::too_many_arguments)]
@@ -625,10 +631,11 @@ pub(crate) fn act_rows_wide(act: crate::fused::Act, z: &mut [f32], y: &mut [f32]
     let done = unsafe { x86::wide_act_rows(act, z, y) };
     #[cfg(not(target_arch = "x86_64"))]
     let done = 0;
-    crate::fused::act_row(act, &mut z[done..], &mut y[done..]);
+    crate::fused::act_row(act, &mut z[done..], &mut y[done..], None);
 }
 
-/// Column-tile dispatcher for the wide-FMA tier: 16- then 8-column
+/// Column-tile dispatcher for the wide-FMA tier: on an AVX-512 host
+/// 64- then 32-column zmm FMA strips first, then 16- and 8-column
 /// AVX2+FMA strips, scalar remainder (plain mul + add, no zero skip —
 /// the order is unpinned, so the simplest loop is fine). Forward
 /// layout only: `av(rr, p) = *a.add(rr * rs + p)`.
@@ -653,6 +660,16 @@ unsafe fn gemm_cols_wide(
     {
         let wp = w.as_ptr();
         let zp = z.as_mut_ptr();
+        if detect_isa() == Isa::Avx512 {
+            while j + 64 <= n {
+                with_rows!(r, x86::wide_strip_avx512[4](a, rs, wp.add(j), zp.add(j), n, k));
+                j += 64;
+            }
+            if j + 32 <= n {
+                with_rows!(r, x86::wide_strip_avx512[2](a, rs, wp.add(j), zp.add(j), n, k));
+                j += 32;
+            }
+        }
         while j + 16 <= n {
             with_rows!(r, x86::wide_strip16_fma(a, rs, wp.add(j), zp.add(j), n, k));
             j += 16;
@@ -1327,6 +1344,42 @@ mod x86 {
         for rr in 0..R {
             _mm256_storeu_ps(z.add(rr * n), acc0[rr]);
             _mm256_storeu_ps(z.add(rr * n + 8), acc1[rr]);
+        }
+    }
+
+    /// `16 · V`-column AVX-512 FMA gemm strip for the wide tier: `R`
+    /// rows accumulated in `V` zmm registers each, fused multiply-add,
+    /// no zero skip. See [`wide_strip16_fma`].
+    ///
+    /// # Safety
+    /// Caller must have verified AVX-512F support; all addresses for
+    /// `rr < R`, `p < k`, `16 · V` columns must be in-bounds.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn wide_strip_avx512<const R: usize, const V: usize>(
+        a: *const f32,
+        rs: usize,
+        w: *const f32,
+        z: *mut f32,
+        n: usize,
+        k: usize,
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); V]; R];
+        for p in 0..k {
+            let mut wv = [_mm512_setzero_ps(); V];
+            for (c, wc) in wv.iter_mut().enumerate() {
+                *wc = _mm512_loadu_ps(w.add(p * n + 16 * c));
+            }
+            for rr in 0..R {
+                let avv = _mm512_set1_ps(*a.add(rr * rs + p));
+                for c in 0..V {
+                    acc[rr][c] = _mm512_fmadd_ps(avv, wv[c], acc[rr][c]);
+                }
+            }
+        }
+        for rr in 0..R {
+            for c in 0..V {
+                _mm512_storeu_ps(z.add(rr * n + 16 * c), acc[rr][c]);
+            }
         }
     }
 

@@ -52,7 +52,7 @@ pub use metrics::MetricMap;
 pub use model::{EncoderKind, TaskModel};
 pub use serve::{
     InferenceServer, ServeConfig, ServeError, SERVE_BATCHES, SERVE_BATCH_SIZE, SERVE_LATENCY_US,
-    SERVE_QUEUE_DEPTH, SERVE_REJECTED, SERVE_RELOADS, SERVE_REQUESTS,
+    SERVE_QUEUE_DEPTH, SERVE_REJECTED, SERVE_RELOADS, SERVE_REQUESTS, SERVE_WORKER_PANICS,
 };
 pub use task::{target_stats, LossKind, TargetKind, TaskHead, TaskHeadConfig};
 pub use trainer::{EarlyStop, TrainConfig, Trainer, TrainLog, TrainRecord};

@@ -53,6 +53,10 @@ pub const SERVE_QUEUE_DEPTH: &str = "serve/queue_depth";
 pub const SERVE_LATENCY_US: &str = "serve/latency_us";
 /// Counter: successful hot model reloads ([`InferenceServer::reload`]).
 pub const SERVE_RELOADS: &str = "serve/reloads";
+/// Counter: batches whose serving panicked. The batch's clients get
+/// [`ServeError::WorkerDied`]; the worker resets its tape and collate
+/// cache and keeps serving.
+pub const SERVE_WORKER_PANICS: &str = "serve/worker_panics";
 
 /// Inference-server tuning knobs.
 #[derive(Debug, Clone)]
@@ -164,6 +168,10 @@ struct Shared {
     obs: Obs,
     queue: Mutex<Queue>,
     ready: Condvar,
+    /// Test hook: the next batch a worker serves panics after its
+    /// forward.
+    #[cfg(test)]
+    panic_next_batch: std::sync::atomic::AtomicBool,
 }
 
 /// The transport-free batched inference engine (see the module docs).
@@ -220,6 +228,8 @@ impl InferenceServer {
                     open: true,
                 }),
                 ready: Condvar::new(),
+                #[cfg(test)]
+                panic_next_batch: Default::default(),
             }),
             workers: Mutex::new(Vec::new()),
         }
@@ -371,7 +381,10 @@ impl InferenceServer {
         self.shared.ready.notify_all();
         let mut workers = self.workers.lock().unwrap();
         for handle in workers.drain(..) {
-            handle.join().expect("a serve worker panicked");
+            // A worker that died anyway has already dropped its jobs
+            // (their clients saw `WorkerDied`); re-raising its panic here
+            // would abort the process when this runs from `Drop`.
+            let _ = handle.join();
         }
     }
 }
@@ -414,6 +427,10 @@ fn check_structure(sample: &Sample, vocab: usize) -> Result<(), String> {
 
 /// One worker: wait for requests, drain a run of them up to `max_batch`
 /// structures, serve the coalesced batch, repeat until shutdown + drained.
+/// A batch that panics is contained: its jobs are dropped unanswered
+/// (their clients get [`ServeError::WorkerDied`]), the panic is counted
+/// in [`SERVE_WORKER_PANICS`], and the tape and collate cache it may have
+/// left half-written are replaced before the next batch.
 fn worker_loop(shared: &Shared) {
     // The pooled forward state: one long-lived tape whose node and buffer
     // storage is recycled across batches, plus a collate memo for
@@ -444,7 +461,14 @@ fn worker_loop(shared: &Shared) {
             }
             jobs
         };
-        serve_batch(shared, &mut g, &mut cache, jobs);
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_batch(shared, &mut g, &mut cache, jobs)
+        }));
+        if served.is_err() {
+            shared.obs.count(SERVE_WORKER_PANICS, 1);
+            g = Graph::new();
+            cache = CollateCache::new(shared.cfg.cache_batches);
+        }
     }
 }
 
@@ -497,6 +521,10 @@ fn serve_batch(shared: &Shared, g: &mut Graph, cache: &mut CollateCache, jobs: V
     let model = Arc::clone(&shared.model.read().unwrap());
     let simd_before = matsciml_tensor::simd_stats();
     let preds = model.predict_into(g, batch, shared.cfg.head);
+    #[cfg(test)]
+    if shared.panic_next_batch.swap(false, std::sync::atomic::Ordering::Relaxed) {
+        panic!("serve_batch: injected test panic");
+    }
     let half_ops = matsciml_tensor::simd_stats().since(&simd_before).half_ops;
     if half_ops > 0 {
         shared.obs.count(crate::ddp::SIMD_HALF_OPS, half_ops);
@@ -722,6 +750,22 @@ mod tests {
         // it the reply sender, dropped unanswered.
         srv.shared.queue.lock().unwrap().jobs.clear();
         assert_eq!(reply(rx), Err(ServeError::WorkerDied));
+    }
+
+    #[test]
+    fn a_panicking_batch_is_contained_and_the_worker_keeps_serving() {
+        let obs = Obs::null();
+        let (srv, singles) = server(ServeConfig { workers: 1, ..Default::default() }, obs.clone());
+        srv.shared.panic_next_batch.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(srv.predict_indices(vec![3, 5]), Err(ServeError::WorkerDied));
+        // The one worker survived, with a fresh tape and cache: the same
+        // index run is answered, bit-identical to predicting alone.
+        let rows = srv.predict_indices(vec![3, 5]).unwrap();
+        assert_eq!(rows, vec![singles[3].clone(), singles[5].clone()]);
+        // Counted before the worker took the second batch.
+        assert_eq!(obs.counter(SERVE_WORKER_PANICS), 1);
+        // Dropping the server joins the worker cleanly.
+        drop(srv);
     }
 
     #[test]

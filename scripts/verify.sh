@@ -64,6 +64,13 @@ echo "== SIMD lane tier: detected tier, tensor kernels in release =="
 cargo test -q --release -p matsciml-tensor simd_isa_names_a_known_tier -- --nocapture
 cargo test -q --release -p matsciml-tensor
 
+echo "== exp: every vector body matches the scalar expf on all 2^32 inputs =="
+# The activation epilogue's exp runs a vector body on the AVX2/AVX-512
+# tiers; the training bits rest on it matching matsciml_tensor::expf
+# everywhere, not just on the sampled sweeps. About half a minute.
+cargo test -q --release -p matsciml-tensor --lib \
+  exp::tests::vector_body_matches_scalar_on_every_input -- --ignored --exact
+
 echo "== tier-1: tests again with the SIMD lane tier disabled =="
 # The scalar fallback is a first-class configuration (non-x86 targets,
 # MATSCIML_SIMD=0 escape hatch) and must stay bit-identical to the

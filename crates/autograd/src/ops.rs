@@ -50,7 +50,7 @@ impl Graph {
     /// [`Act::Identity`] forward of [`fused::linear`], bit-identical to
     /// [`Tensor::matmul`] at [`Precision::F32`](matsciml_tensor::Precision::F32).
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let (v, _) = fused::linear(self.value(a), self.value(b), None, Act::Identity, self.precision);
+        let (v, _) = fused::linear(self.value(a), self.value(b), None, Act::Identity, self.precision, None);
         self.push(v, Op::Matmul(a, b))
     }
 
@@ -65,12 +65,27 @@ impl Graph {
     /// so the backward pass multiplies instead of re-evaluating the
     /// activation; [`Act::Identity`] caches nothing. The gemm runs at
     /// the tape's precision ([`Graph::set_precision`]).
+    ///
+    /// When `x` is an [`Graph::edge_concat`] node, whose rows begin with
+    /// `h[src[e]]`, and there are more edges than nodes, the forward hands
+    /// [`fused::linear`] that source half, so the `h[src] · w` part of
+    /// every row is computed once per node and gathered (same bits). At
+    /// hidden 256 the split measured 0.71× the unsplit layer at 3.4 edges
+    /// per node, 1.015× at one edge per node and 1.43× at one per two,
+    /// hence the `edges > nodes` gate. The tape records the same node
+    /// either way, and the backward does not change.
     pub fn linear(&mut self, x: Var, w: Var, b: Option<Var>, act: Act) -> Var {
         let (y, dact) = {
             let vx = self.value(x);
             let vw = self.value(w);
             let vb = b.map(|bv| self.value(bv));
-            fused::linear(vx, vw, vb, act, self.precision)
+            let source = match &self.nodes[x.0].op {
+                Op::EdgeConcat { h, src, .. } if src.len() > self.value(*h).rows() => {
+                    Some((self.value(*h), src.as_slice()))
+                }
+                _ => None,
+            };
+            fused::linear(vx, vw, vb, act, self.precision, source)
         };
         self.push(y, Op::Linear { x, w, b, dact })
     }

@@ -229,3 +229,50 @@ fn zero_edge_fused_ops_are_well_defined() {
     g.backward(loss);
     assert!(g.grad(h).unwrap().as_slice().iter().all(|&v| v == 0.0));
 }
+
+/// `edge_concat → linear` computes the source half `h[src] · w[..H]` once
+/// per node and gathers it. The tape must not be able to tell: the same
+/// `linear` over an input leaf holding the concat's values gives the same
+/// value and every gradient bit (weight, bias, and the input's).
+#[test]
+fn linear_over_edge_concat_matches_linear_over_a_leaf_bitwise() {
+    use matsciml_tensor::Act;
+    for (rel, e, nodes) in [(true, 23usize, 7usize), (false, 11, 5), (true, 3, 6)] {
+        let (src, dst) = edge_lists(e, nodes);
+        let mut h0 = seeded(&[nodes, 6], 13);
+        h0.as_mut_slice().iter_mut().step_by(4).for_each(|v| *v = -0.0);
+        let x0 = seeded(&[nodes, 3], 14);
+        let k = if rel { 13 } else { 12 };
+        let (w0, b0) = (seeded(&[k, 9], 15), seeded(&[9], 16));
+
+        let mut ga = Graph::new();
+        let h = ga.param(0, h0.clone());
+        let x = ga.param(1, x0.clone());
+        let r = rel.then(|| ga.edge_rel(x, src.clone(), dst.clone()));
+        let cat = ga.edge_concat(h, r, src.clone(), dst.clone());
+        let (w, b) = (ga.param(2, w0.clone()), ga.param(3, b0.clone()));
+        let ya = ga.linear(cat, w, Some(b), Act::Silu);
+        let sq = ga.mul(ya, ya);
+        let la = ga.sum_all(sq);
+        ga.backward(la);
+
+        let mut gb = Graph::new();
+        let leaf = gb.input(ga.value(cat).clone());
+        let (w2, b2) = (gb.param(2, w0.clone()), gb.param(3, b0.clone()));
+        let yb = gb.linear(leaf, w2, Some(b2), Act::Silu);
+        let sq2 = gb.mul(yb, yb);
+        let lb = gb.sum_all(sq2);
+        gb.backward(lb);
+
+        let same = |p: &Tensor, q: &Tensor, what: &str| {
+            assert_eq!(p.shape(), q.shape(), "{what} shape (rel {rel})");
+            for (i, (&u, &v)) in p.as_slice().iter().zip(q.as_slice()).enumerate() {
+                assert_eq!(u.to_bits(), v.to_bits(), "{what}[{i}] (rel {rel}): {u} vs {v}");
+            }
+        };
+        same(ga.value(ya), gb.value(yb), "y");
+        same(ga.grad(w).unwrap(), gb.grad(w2).unwrap(), "dw");
+        same(ga.grad(b).unwrap(), gb.grad(b2).unwrap(), "db");
+        same(ga.grad(cat).unwrap(), gb.grad(leaf).unwrap(), "dx");
+    }
+}

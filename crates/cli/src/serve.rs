@@ -17,7 +17,7 @@
 //! draining queued work.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -134,6 +134,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
             steps: 0,
             seed,
             simd_isa: matsciml::tensor::simd_isa().to_string(),
+            threads: rayon::current_num_threads() as u64,
             config: Json::snapshot(&ServeSnapshot {
                 addr: addr.clone(),
                 dataset: ds_name.clone(),
@@ -218,6 +219,13 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Longest request line a connection may send, in bytes, newline
+/// excluded: 4 MiB, room for a few thousand client structures in one
+/// `structures` request. A longer line is answered with an error and
+/// the connection is closed, so a client that never sends a newline
+/// cannot grow the handler's buffer without bound.
+pub const MAX_REQUEST_LINE_BYTES: usize = 4 << 20;
+
 /// Serve one client connection: requests in, responses out, line by line.
 fn handle_connection(
     conn: TcpStream,
@@ -225,19 +233,33 @@ fn handle_connection(
     stop: &AtomicBool,
     addr: &str,
 ) -> std::io::Result<()> {
-    let reader = BufReader::new(conn.try_clone()?);
+    let mut reader = BufReader::new(conn.try_clone()?);
     let mut writer = conn;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // At most one byte past the cap: enough to tell an over-long
+        // line from one that ends exactly at it.
+        let limit = MAX_REQUEST_LINE_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
+            break;
         }
-        let (response, shutdown) = respond(&line, server);
-        let json = serde_json::to_string(&response)
-            .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":\"encode: {e}\"}}"));
-        writer.write_all(json.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_REQUEST_LINE_BYTES {
+            let error = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes; closing the connection");
+            send(&mut writer, &WireResponse::err(None, error))?;
+            break;
+        }
+        let (response, shutdown) = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => respond(line, server),
+            Err(e) => (WireResponse::err(None, format!("malformed request: {e}")), false),
+        };
+        send(&mut writer, &response)?;
         if shutdown {
             stop.store(true, Ordering::SeqCst);
             // Unblock the accept loop so it can observe the stop flag.
@@ -246,6 +268,15 @@ fn handle_connection(
         }
     }
     Ok(())
+}
+
+/// Write one response line.
+fn send(writer: &mut TcpStream, response: &WireResponse) -> std::io::Result<()> {
+    let json = serde_json::to_string(response)
+        .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":\"encode: {e}\"}}"));
+    writer.write_all(json.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 /// Decode one request line and produce its response; the bool asks the

@@ -224,6 +224,12 @@ pub struct RunStartEvent {
     /// not. Empty in records written before the field existed.
     #[serde(default)]
     pub simd_isa: String,
+    /// Threads in the process's parallel worker pool (the vendored
+    /// rayon's pool size: the caller plus its workers). Throughput
+    /// depends on it, results do not. 0 in records written before the
+    /// field existed.
+    #[serde(default)]
+    pub threads: u64,
     /// Full training-config snapshot (schema-free JSON).
     pub config: Json,
 }
@@ -728,6 +734,7 @@ mod tests {
             steps: 2,
             seed: 7,
             simd_isa: "avx2".to_string(),
+            threads: 2,
             config: Json::snapshot(&[("lr".to_string(), 0.001f32)].into_iter().collect::<BTreeMap<_, _>>())
                 .unwrap(),
         }
@@ -774,15 +781,16 @@ mod tests {
     }
 
     #[test]
-    fn run_start_without_simd_isa_still_parses() {
+    fn run_start_without_simd_isa_or_threads_still_parses() {
         let line = serde_json::to_string(&Event::run_start(start_event())).unwrap();
-        assert!(line.contains("\"simd_isa\":\"avx2\""), "got {line}");
-        let old = line.replace("\"simd_isa\":\"avx2\",", "");
+        assert!(line.contains("\"simd_isa\":\"avx2\",\"threads\":2,"), "got {line}");
+        let old = line.replace("\"simd_isa\":\"avx2\",\"threads\":2,", "");
         assert_ne!(old, line);
         let text = [old, serde_json::to_string(&Event::summary(summary_event())).unwrap()].join("\n");
         let record = RunRecord::parse(&text).unwrap();
         record.validate().unwrap();
-        assert_eq!(record.run_start().unwrap().simd_isa, "");
+        let start = record.run_start().unwrap();
+        assert_eq!((start.simd_isa.as_str(), start.threads), ("", 0));
     }
 
     #[test]

@@ -29,7 +29,11 @@
 //!   reorder any single element's terms), and the forward adds the bias
 //!   once after the full sum — the same single rounding
 //!   `add_row_broadcast` applies to a stored matmul result — before the
-//!   activation reads the final `z`;
+//!   activation reads the final `z`. The gemm strips continue each chain
+//!   from the `z` they are handed: `z` holds the chain's exact prefix,
+//!   zero by default. [`linear`]'s source half uses that to compute an
+//!   edge input's `h[src]` prefix once per node and gather it, so an edge
+//!   row adds the same terms in the same order as the unsplit product;
 //! * [`matmul_nt_blocked`]: each element reproduces `dot`'s four-lane
 //!   bracketing `(s0 + s1) + (s2 + s3) + tail` with the same stride-4
 //!   lane assignment, but processes `NJ` rows of `b` per strip of the
@@ -175,12 +179,24 @@ const MR: usize = 4;
 /// [`Precision::F32`] keeps the exact pinned-order kernels; anything
 /// else lets the reduced-precision wide tier take the gemm
 /// (`crate::half`).
+///
+/// `source`, when given as `(h, src)` with `h: [nodes, hk]`, says that
+/// row `e` of `x` begins with the node row `h[src[e]]` — the source half
+/// of an edge-message input (`edge::gather_concat`). Every output
+/// element's chain over those `hk` columns then depends only on the
+/// source node, so it is computed once per node (`P = h @ w[..hk]`, the
+/// same kernels on a zeroed accumulator), gathered as `z[e] =
+/// P[src[e]]`, and the edge gemm continues each chain from that prefix
+/// over `x[:, hk..]` and `w[hk..]`. Each element adds the same terms in
+/// the same order, so the bits equal the unsplit forward's on every
+/// tier; the split saves `(m − nodes) · hk · n` multiply-adds.
 pub fn linear(
     x: &Tensor,
     w: &Tensor,
     bias: Option<&Tensor>,
     act: Act,
     precision: Precision,
+    source: Option<(&Tensor, &[u32])>,
 ) -> (Tensor, Option<Tensor>) {
     assert_eq!(x.ndim(), 2, "fused linear: x must be 2-D, got {:?}", x.shape());
     assert_eq!(w.ndim(), 2, "fused linear: w must be 2-D, got {:?}", w.shape());
@@ -190,11 +206,62 @@ pub fn linear(
     if let Some(b) = bias {
         assert_eq!(b.numel(), n, "fused linear: bias has {} elements, expected {n}", b.numel());
     }
-
-    let mut z = Tensor::zeros(&[m, n]);
     let a = x.as_slice();
     let ws = w.as_slice();
+
+    // The accumulator: zero, or each row's exact source-half prefix.
+    let (mut z, k0) = match source {
+        None => (Tensor::zeros(&[m, n]), 0),
+        Some((h, src)) => {
+            assert_eq!(h.ndim(), 2, "fused linear: source h must be 2-D, got {:?}", h.shape());
+            let (nodes, hk) = (h.dim(0), h.dim(1));
+            assert!(hk <= k, "fused linear: source width {hk} exceeds x width {k}");
+            assert_eq!(src.len(), m, "fused linear: {} source indices for {m} rows", src.len());
+            debug_assert!(
+                src.iter().enumerate().all(|(e, &s)| {
+                    let (xr, hr) = (&a[e * k..e * k + hk], h.row(s as usize));
+                    xr.iter().zip(hr).all(|(u, v)| u.to_bits() == v.to_bits())
+                }),
+                "fused linear: x does not begin with h[src]"
+            );
+            let mut p = Tensor::zeros(&[nodes, n]);
+            let wh = &ws[..hk * n];
+            gemm(h.as_slice(), hk, wh, None, Act::Identity, p.as_mut_slice(), None, nodes, hk, n, precision);
+            (p.gather_rows(src), hk)
+        }
+    };
+    // Continue every chain over the columns the prefix did not cover;
+    // x keeps its row stride `k`.
+    let (a, ws, kk) = (a.get(k0..).unwrap_or(&[]), &ws[k0 * n..], k - k0);
     let bs = bias.map(|b| b.as_slice());
+    let mut y = (act != Act::Identity).then(|| Tensor::zeros(&[m, n]));
+    let yd = y.as_mut().map(|t| t.as_mut_slice());
+    gemm(a, k, ws, bs, act, z.as_mut_slice(), yd, m, kk, n, precision);
+    match y {
+        Some(y) => (y, Some(z)),
+        None => (z, None),
+    }
+}
+
+/// The one forward gemm driver behind [`linear`]: adds `a @ w` (`a` with
+/// row stride `lda`, its first `k` columns read) onto the `[m, n]`
+/// accumulator `z`, then the bias and, when `y` is given, the
+/// activation epilogue. Picks the wide, lane or scalar rows kernel and
+/// splits row panels across the pool above the parallel gate.
+#[allow(clippy::too_many_arguments)]
+fn gemm(
+    a: &[f32],
+    lda: usize,
+    w: &[f32],
+    bias: Option<&[f32]>,
+    act: Act,
+    z: &mut [f32],
+    y: Option<&mut [f32]>,
+    m: usize,
+    k: usize,
+    n: usize,
+    precision: Precision,
+) {
     let flops = 2 * m * n * k;
     // A reduced-precision tape (crate::half) hands the whole forward
     // gemm to the wide tier: FMA strips, unpinned order,
@@ -206,39 +273,29 @@ pub fn linear(
     // lane-tier body when dispatched, canonical scalar rows otherwise.
     let rows_kernel = |zc: &mut [f32], yc: Option<&mut [f32]>, r0: usize, rows: usize| {
         if wide {
-            simd::linear_rows_wide(a, ws, bs, act, zc, yc, r0, rows, k, n)
+            simd::linear_rows_wide(a, lda, w, bias, act, zc, yc, r0, rows, k, n)
         } else {
             match isa {
-                Some(isa) => simd::linear_rows_lanes(a, ws, bs, act, zc, yc, r0, rows, k, n, isa),
-                None => linear_rows(a, ws, bs, act, zc, yc, r0, rows, k, n),
+                Some(isa) => simd::linear_rows_lanes(a, lda, w, bias, act, zc, yc, r0, rows, k, n, isa),
+                None => linear_rows(a, lda, w, bias, act, zc, yc, r0, rows, k, n),
             }
         }
     };
 
-    if act == Act::Identity {
-        let dst = z.as_mut_slice();
-        if !par_gate(flops, PAR_MIN_FLOPS) {
-            rows_kernel(dst, None, 0, m);
-        } else {
-            dst.par_chunks_mut(ROW_PANEL * n).enumerate().for_each(|(panel, chunk)| {
-                rows_kernel(chunk, None, panel * ROW_PANEL, chunk.len() / n);
-            });
-        }
-        return (z, None);
+    if !par_gate(flops, PAR_MIN_FLOPS) {
+        rows_kernel(z, y, 0, m);
+        return;
     }
-
-    let mut y = Tensor::zeros(&[m, n]);
-    {
-        let ydst = y.as_mut_slice();
-        let zdst = z.as_mut_slice();
-        if !par_gate(flops, PAR_MIN_FLOPS) {
-            rows_kernel(zdst, Some(ydst), 0, m);
-        } else {
+    match y {
+        None => z.par_chunks_mut(ROW_PANEL * n).enumerate().for_each(|(panel, chunk)| {
+            rows_kernel(chunk, None, panel * ROW_PANEL, chunk.len() / n);
+        }),
+        Some(ydst) => {
             // Panels of z are distributed by rayon; the matching panel of
             // y is reconstructed from a raw pointer. Sound because panels
             // are disjoint row ranges.
             let yp = SendPtr(ydst.as_mut_ptr());
-            zdst.par_chunks_mut(ROW_PANEL * n).enumerate().for_each(|(panel, chunk)| {
+            z.par_chunks_mut(ROW_PANEL * n).enumerate().for_each(|(panel, chunk)| {
                 let r0 = panel * ROW_PANEL;
                 let rows = chunk.len() / n;
                 let ypanel =
@@ -247,7 +304,6 @@ pub fn linear(
             });
         }
     }
-    (y, Some(z))
 }
 
 /// `a^T @ b` for `[k, m] x [k, n] -> [m, n]`, row-blocked, bit-identical
@@ -431,12 +487,15 @@ impl SendPtr {
 /// blocks accumulate with the generic axpy order (each streamed `w` row
 /// feeds every row of the block while cache-hot), then the bias add and
 /// activation epilogue ([`act_row`]) runs over the block while it is
-/// still resident. `z` (and `y` when present) are the destination slices
-/// covering exactly those rows; `z` must arrive zeroed (it is the
-/// accumulator) and leaves holding `act'(z)` when `y` is present.
+/// still resident. Row `r` of `a` starts at `a[r * lda]` and its first
+/// `k` elements are read. `z` (and `y` when present) are the destination
+/// slices covering exactly those rows; `z` is the accumulator and holds
+/// each chain's exact prefix, zero by default, and leaves holding
+/// `act'(z)` when `y` is present.
 #[allow(clippy::too_many_arguments)]
 fn linear_rows(
     a: &[f32],
+    lda: usize,
     w: &[f32],
     bias: Option<&[f32]>,
     act: Act,
@@ -454,7 +513,7 @@ fn linear_rows(
         for p in 0..k {
             let wrow = &w[p * n..(p + 1) * n];
             for rr in 0..r {
-                let av = a[(r0 + i + rr) * k + p];
+                let av = a[(r0 + i + rr) * lda + p];
                 if av != 0.0 {
                     let zrow = &mut zblock[rr * n..(rr + 1) * n];
                     zrow.iter_mut().zip(wrow).for_each(|(o, &wv)| *o += av * wv);
@@ -650,7 +709,7 @@ mod tests {
                 };
                 for act in ACTS {
                     let tag = format!("{m}x{k}x{n} {act:?} bias {}", bias.is_some());
-                    let (y, dact) = linear(&x, &w, bias, act, Precision::F32);
+                    let (y, dact) = linear(&x, &w, bias, act, Precision::F32, None);
                     let yref = zref.map(|a| act.eval(a));
                     assert_eq!(bits(y.as_slice()), bits(yref.as_slice()), "y bits {tag}");
                     match dact {
@@ -665,11 +724,153 @@ mod tests {
         }
     }
 
+    /// Node features with exact `0.0` and `-0.0` entries, which the
+    /// zero-skip must treat alike in the node and the edge gemm.
+    fn node_feats(nodes: usize, hk: usize, seed: usize) -> Tensor {
+        let mut h = mat(&[nodes, hk], seed);
+        h.as_mut_slice().iter_mut().enumerate().filter(|(i, _)| i % 5 == 2).for_each(|(_, v)| *v = -0.0);
+        h
+    }
+
+    /// One split case: `(graphs of (nodes, edges), hk, n, rel)`.
+    type SplitCase = (Vec<(usize, usize)>, usize, usize, bool);
+
+    /// The source-half cases.
+    /// Odd E; E < N; E = 0; a two-graph batch; `n` reaching the 64- and
+    /// 32-column AVX-512 strips, the narrower strips and the scalar tail.
+    fn split_cases() -> Vec<SplitCase> {
+        vec![
+            (vec![(5, 13)], 7, 9, true),
+            (vec![(9, 4)], 6, 11, true),
+            (vec![(4, 0)], 5, 6, false),
+            (vec![(6, 17), (4, 9)], 16, 75, true),
+            (vec![(3, 7), (5, 12)], 8, 100, false),
+        ]
+    }
+
+    /// Edge lists for a batch of graphs laid out one after another: every
+    /// edge stays inside its graph, sources repeat.
+    fn batch_edges(graphs: &[(usize, usize)]) -> (usize, Vec<u32>, Vec<u32>) {
+        let (mut base, mut src, mut dst) = (0, Vec::new(), Vec::new());
+        for &(nodes, edges) in graphs {
+            for e in 0..edges {
+                src.push((base + (e * 3 + 1) % nodes) as u32);
+                dst.push((base + (e * 5 + e * e + 2) % nodes) as u32);
+            }
+            base += nodes;
+        }
+        (base, src, dst)
+    }
+
+    /// `(x, w, bias, h, src)` for one split case: `x = [h[src] ‖ h[dst]
+    /// (‖ d²)]` as `edge::gather_concat` builds it, and optionally a
+    /// `+∞` weight in the source half and a NaN in the edge half.
+    fn split_operands(
+        graphs: &[(usize, usize)],
+        hk: usize,
+        n: usize,
+        rel: bool,
+        nonfinite: bool,
+    ) -> (Tensor, Tensor, Tensor, Tensor, Vec<u32>) {
+        let (nodes, src, dst) = batch_edges(graphs);
+        let h = node_feats(nodes, hk, 3);
+        let r = rel.then(|| mat(&[src.len(), 3], 4));
+        let x = crate::edge::gather_concat(&h, r.as_ref(), &src, &dst);
+        let k = x.dim(1);
+        let mut w = mat(&[k, n], 5);
+        if nonfinite {
+            w.as_mut_slice()[n + 1] = f32::INFINITY;
+            w.as_mut_slice()[(hk + 1) * n + 2] = f32::NAN;
+        }
+        (x, w, mat(&[n], 6), h, src)
+    }
+
+    #[test]
+    fn source_half_split_matches_unsplit_bits() {
+        for (graphs, hk, n, rel) in split_cases() {
+            for nonfinite in [false, true] {
+                let (x, w, b, h, src) = split_operands(&graphs, hk, n, rel, nonfinite);
+                for act in ACTS {
+                    let tag = format!("{graphs:?} hk {hk} n {n} {act:?} nonfinite {nonfinite}");
+                    let (y0, d0) = linear(&x, &w, Some(&b), act, Precision::F32, None);
+                    let (y1, d1) = linear(&x, &w, Some(&b), act, Precision::F32, Some((&h, &src)));
+                    assert_eq!(bits(y1.as_slice()), bits(y0.as_slice()), "y {tag}");
+                    assert_eq!(d1.map(|d| bits(d.as_slice())), d0.map(|d| bits(d.as_slice())), "act' {tag}");
+                }
+            }
+        }
+    }
+
+    /// The split on every runnable tier, driven through the row kernels:
+    /// a node gemm on a zeroed accumulator, the gather, and the edge gemm
+    /// continuing from it give the tier's own unsplit bits.
+    #[test]
+    fn source_half_split_matches_unsplit_bits_on_every_tier() {
+        use crate::simd::tests::isas;
+        #[allow(clippy::too_many_arguments)]
+        fn rows_on(
+            tier: Option<simd::Isa>,
+            a: &[f32],
+            lda: usize,
+            w: &[f32],
+            bias: Option<&[f32]>,
+            act: Act,
+            z: &mut [f32],
+            y: Option<&mut [f32]>,
+            rows: usize,
+            k: usize,
+            n: usize,
+        ) {
+            match tier {
+                None => linear_rows(a, lda, w, bias, act, z, y, 0, rows, k, n),
+                Some(isa) => simd::linear_rows_lanes(a, lda, w, bias, act, z, y, 0, rows, k, n, isa),
+            }
+        }
+        for (graphs, hk, n, rel) in split_cases() {
+            for nonfinite in [false, true] {
+                let (x, w, b, h, src) = split_operands(&graphs, hk, n, rel, nonfinite);
+                let (e, k, nodes) = (x.dim(0), x.dim(1), h.dim(0));
+                let (xs, ws, bs) = (x.as_slice(), w.as_slice(), Some(b.as_slice()));
+                for tier in std::iter::once(None).chain(isas().into_iter().map(Some)) {
+                    for act in [Act::Identity, Act::Silu] {
+                        let tag = format!("{graphs:?} hk {hk} n {n} {act:?} {tier:?} nonfinite {nonfinite}");
+                        let (mut z0, mut y0) = (vec![0.0; e * n], vec![0.0; e * n]);
+                        rows_on(tier, xs, k, ws, bs, act, &mut z0, Some(&mut y0), e, k, n);
+                        let mut p = vec![0.0; nodes * n];
+                        rows_on(tier, h.as_slice(), hk, &ws[..hk * n], None, Act::Identity, &mut p, None, nodes, hk, n);
+                        let mut z1: Vec<f32> =
+                            src.iter().flat_map(|&s| p[s as usize * n..(s as usize + 1) * n].to_vec()).collect();
+                        let mut y1 = vec![0.0; e * n];
+                        let xe = xs.get(hk..).unwrap_or(&[]);
+                        rows_on(tier, xe, k, &ws[hk * n..], bs, act, &mut z1, Some(&mut y1), e, k - hk, n);
+                        assert_eq!(bits(&y1), bits(&y0), "y {tag}");
+                        assert_eq!(bits(&z1), bits(&z0), "act' {tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The reduced-precision tier takes the split too; its order is
+    /// unpinned, so it is held to the wide tier's tolerance against the
+    /// exact unsplit forward.
+    #[test]
+    fn source_half_split_on_the_wide_tier_stays_close() {
+        let (x, w, b, h, src) = split_operands(&[(6, 17), (4, 9)], 16, 75, true, false);
+        let (want, _) = linear(&x, &w, Some(&b), Act::Silu, Precision::F32, None);
+        for precision in [Precision::F16, Precision::Bf16] {
+            let (got, _) = linear(&x, &w, Some(&b), Act::Silu, precision, Some((&h, &src)));
+            for (g, r) in got.as_slice().iter().zip(want.as_slice()) {
+                assert!((g - r).abs() <= 1e-4 * (1.0 + r.abs()), "{precision:?}: {g} vs {r}");
+            }
+        }
+    }
+
     #[test]
     fn identity_linear_saves_no_derivative() {
         let x = mat(&[5, 4], 1);
         let w = mat(&[4, 6], 2);
-        let (y, dact) = linear(&x, &w, None, Act::Identity, Precision::F32);
+        let (y, dact) = linear(&x, &w, None, Act::Identity, Precision::F32, None);
         assert_eq!(bits(y.as_slice()), bits(x.matmul(&w).as_slice()));
         assert!(dact.is_none(), "Identity has no derivative to save");
     }
@@ -736,9 +937,9 @@ mod tests {
                 let mut y = vec![0.0f32; n];
                 let (w, yd) = (&inputs, Some(&mut y[..]));
                 match tier {
-                    None => linear_rows(&[1.0], w, None, act, &mut z, yd, 0, 1, 1, n),
+                    None => linear_rows(&[1.0], 1, w, None, act, &mut z, yd, 0, 1, 1, n),
                     Some(isa) => {
-                        simd::linear_rows_lanes(&[1.0], w, None, act, &mut z, yd, 0, 1, 1, n, isa)
+                        simd::linear_rows_lanes(&[1.0], 1, w, None, act, &mut z, yd, 0, 1, 1, n, isa)
                     }
                 }
                 assert_eq!(bits(&y), bits(&want_y), "{act:?} act(z), tier {tier:?}");
@@ -784,7 +985,7 @@ mod tests {
         for act in ACTS {
             // The unfused VJP: materialize act'(z), then multiply.
             let expected = g.mul(&z.map(|a| act.dz(a)));
-            let (_, dact) = linear(&x, &w, None, act, Precision::F32);
+            let (_, dact) = linear(&x, &w, None, act, Precision::F32, None);
             assert_eq!(
                 bits(act_backward(&g, dact.as_ref()).as_slice()),
                 bits(expected.as_slice()),

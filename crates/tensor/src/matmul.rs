@@ -46,7 +46,7 @@ impl Tensor {
 
         let rows_kernel = |r0: usize, rows: usize, chunk: &mut [f32]| match isa {
             Some(isa) => {
-                simd::linear_rows_lanes(a, b, None, Act::Identity, chunk, None, r0, rows, k, n, isa)
+                simd::linear_rows_lanes(a, k, b, None, Act::Identity, chunk, None, r0, rows, k, n, isa)
             }
             None => matmul_panel(a, b, chunk, r0, rows, k, n),
         };

@@ -507,16 +507,18 @@ macro_rules! with_rows {
 
 /// Lane-accelerated body of the fused linear forward for output rows
 /// `[r0, r0 + rows)` — the drop-in peer of `fused::linear_rows`
-/// (same contract: `z` arrives zeroed and covers exactly those rows,
-/// `y` optional, bias added once after the full sum, the
-/// `fused::act_row` epilogue reads the final `z` and leaves `act'(z)` in
-/// its place). Per-element accumulation order is the canonical
-/// increasing-`p` chain with the `av != 0.0` skip, held in vector
-/// registers instead of re-walking `z` through the store buffer for
-/// every `p` — that is the whole speedup.
+/// (same contract: `a` has row stride `lda ≥ k` and only its first `k`
+/// columns are read; `z` covers exactly those rows and holds each
+/// chain's exact prefix, zero by default; `y` optional, bias added once
+/// after the full sum, the `fused::act_row` epilogue reads the final `z`
+/// and leaves `act'(z)` in its place). Per-element accumulation order is
+/// the canonical increasing-`p` chain with the `av != 0.0` skip, held in
+/// vector registers instead of re-walking `z` through the store buffer
+/// for every `p` — that is the whole speedup.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn linear_rows_lanes(
     a: &[f32],
+    lda: usize,
     w: &[f32],
     bias: Option<&[f32]>,
     act: crate::fused::Act,
@@ -531,12 +533,13 @@ pub(crate) fn linear_rows_lanes(
     let mut i = 0;
     while i < rows {
         let r = MR.min(rows - i);
-        // SAFETY: rows [r0+i, r0+i+r) of `a` are in-bounds ([rows*k] per
-        // caller contract), and z[i*n..(i+r)*n] is in-bounds of `z`.
+        // SAFETY: the first `k` elements of rows [r0+i, r0+i+r) of `a`
+        // (row stride `lda`) are in-bounds per caller contract, and
+        // z[i*n..(i+r)*n] is in-bounds of `z`.
         unsafe {
             gemm_cols(
-                a.as_ptr().add((r0 + i) * k),
-                k,
+                a.as_ptr().add((r0 + i) * lda),
+                lda,
                 1,
                 w,
                 &mut z[i * n..(i + r) * n],
@@ -562,9 +565,10 @@ pub(crate) fn linear_rows_lanes(
 
 /// Wide-FMA body of the forward linear/gemm for output rows
 /// `[r0, r0 + rows)` — the **reduced-precision inference tier's** peer
-/// of [`linear_rows_lanes`]. Same contract (`z` zeroed, `y` optional,
-/// bias added once after the sum, activation reads the final `z` and
-/// leaves `act'(z)` in its place), but
+/// of [`linear_rows_lanes`]. Same contract (`a` row stride `lda`, `z`
+/// holds the prefix the sum continues from, zero by default, `y`
+/// optional, bias added once after the sum, activation reads the final
+/// `z` and leaves `act'(z)` in its place), but
 /// the accumulation order is *unpinned*: fused multiply-add strips
 /// (16-wide AVX-512 on an AVX-512 host, else 8-wide AVX2), two-way `k`
 /// unrolling in the 8-column strip, and no zero-skip branch. Outputs
@@ -574,6 +578,7 @@ pub(crate) fn linear_rows_lanes(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn linear_rows_wide(
     a: &[f32],
+    lda: usize,
     w: &[f32],
     bias: Option<&[f32]>,
     act: crate::fused::Act,
@@ -587,12 +592,13 @@ pub(crate) fn linear_rows_wide(
     let mut i = 0;
     while i < rows {
         let r = MR.min(rows - i);
-        // SAFETY: rows [r0+i, r0+i+r) of `a` are in-bounds ([rows*k] per
-        // caller contract), and z[i*n..(i+r)*n] is in-bounds of `z`.
+        // SAFETY: the first `k` elements of rows [r0+i, r0+i+r) of `a`
+        // (row stride `lda`) are in-bounds per caller contract, and
+        // z[i*n..(i+r)*n] is in-bounds of `z`.
         unsafe {
             gemm_cols_wide(
-                a.as_ptr().add((r0 + i) * k),
-                k,
+                a.as_ptr().add((r0 + i) * lda),
+                lda,
                 w,
                 &mut z[i * n..(i + r) * n],
                 r,
@@ -638,7 +644,8 @@ pub(crate) fn act_rows_wide(act: crate::fused::Act, z: &mut [f32], y: &mut [f32]
 /// 64- then 32-column zmm FMA strips first, then 16- and 8-column
 /// AVX2+FMA strips, scalar remainder (plain mul + add, no zero skip —
 /// the order is unpinned, so the simplest loop is fine). Forward
-/// layout only: `av(rr, p) = *a.add(rr * rs + p)`.
+/// layout only: `av(rr, p) = *a.add(rr * rs + p)`. Every tile adds onto
+/// the `z` it is handed.
 ///
 /// # Safety
 /// `a` must be valid for reads at every `rr < r`, `p < k` under the
@@ -681,7 +688,7 @@ unsafe fn gemm_cols_wide(
     }
     for jj in j..n {
         for rr in 0..r {
-            let mut acc = 0.0f32;
+            let mut acc = z[rr * n + jj];
             for p in 0..k {
                 acc += *a.add(rr * rs + p) * w[p * n + jj];
             }
@@ -733,8 +740,9 @@ pub(crate) fn tn_rows_lanes(
 /// output columns in the widest tile the ISA supports, accumulating an
 /// `r`-row register block over the full `k` sweep per tile.
 /// `av(rr, p) = *a.add(rr * rs + p * ps)` — strides express the two
-/// layouts. `z` must arrive zeroed (tiles overwrite it with sums that
-/// start at `0.0`, which is the same thing bit-for-bit).
+/// layouts. `z` holds each chain's exact prefix, zero by default: every
+/// tile loads it into its accumulators, continues the chain, and stores
+/// the sum back, so a chain split at any `p` gives the unsplit bits.
 ///
 /// # Safety
 /// `a` must be valid for reads at every `rr < r`, `p < k` under the
@@ -803,7 +811,7 @@ unsafe fn gemm_cols(
     // chain per element — increasing p, zero-skip.
     for jj in j..n {
         for rr in 0..r {
-            let mut acc = 0.0f32;
+            let mut acc = z[rr * n + jj];
             for p in 0..k {
                 let av = *a.add(rr * rs + p * ps);
                 if av != 0.0 {
@@ -1204,6 +1212,8 @@ mod x86 {
     /// increasing-`p`, zero-skip order. `w` / `z` are pre-offset to the
     /// strip's first column; row `p` of `w` is at `w + p * n`, output
     /// row `rr` at `z + rr * n`; `av(rr, p) = *(a + rr * rs + p * ps)`.
+    /// The accumulators start from `z`, which holds the chain's exact
+    /// prefix (zero by default), and the sums are stored back over it.
     ///
     /// # Safety
     /// Caller must have verified AVX2 support; all addresses produced
@@ -1221,6 +1231,10 @@ mod x86 {
     ) {
         let mut acc0 = [_mm256_setzero_ps(); R];
         let mut acc1 = [_mm256_setzero_ps(); R];
+        for rr in 0..R {
+            acc0[rr] = _mm256_loadu_ps(z.add(rr * n));
+            acc1[rr] = _mm256_loadu_ps(z.add(rr * n + 8));
+        }
         for p in 0..k {
             let w0 = _mm256_loadu_ps(w.add(p * n));
             let w1 = _mm256_loadu_ps(w.add(p * n + 8));
@@ -1255,6 +1269,9 @@ mod x86 {
         k: usize,
     ) {
         let mut acc = [_mm256_setzero_ps(); R];
+        for rr in 0..R {
+            acc[rr] = _mm256_loadu_ps(z.add(rr * n));
+        }
         for p in 0..k {
             let w0 = _mm256_loadu_ps(w.add(p * n));
             for rr in 0..R {
@@ -1291,6 +1308,11 @@ mod x86 {
         k: usize,
     ) {
         let mut acc = [[_mm512_setzero_ps(); V]; R];
+        for rr in 0..R {
+            for c in 0..V {
+                acc[rr][c] = _mm512_loadu_ps(z.add(rr * n + 16 * c));
+            }
+        }
         for p in 0..k {
             let mut wv = [_mm512_setzero_ps(); V];
             for (c, wc) in wv.iter_mut().enumerate() {
@@ -1316,7 +1338,8 @@ mod x86 {
     /// 16-column AVX2 + FMA gemm strip for the reduced-precision wide
     /// tier: fused multiply-add, no zero-skip branch, accumulation
     /// order unpinned (tolerance-checked by callers, never
-    /// bit-compared). Forward layout only (`ps = 1` folded away).
+    /// bit-compared). Forward layout only (`ps = 1` folded away). Like
+    /// the exact strips it adds onto the `z` it is handed.
     ///
     /// # Safety
     /// Caller must have verified AVX2 + FMA support; all addresses for
@@ -1332,6 +1355,10 @@ mod x86 {
     ) {
         let mut acc0 = [_mm256_setzero_ps(); R];
         let mut acc1 = [_mm256_setzero_ps(); R];
+        for rr in 0..R {
+            acc0[rr] = _mm256_loadu_ps(z.add(rr * n));
+            acc1[rr] = _mm256_loadu_ps(z.add(rr * n + 8));
+        }
         for p in 0..k {
             let w0 = _mm256_loadu_ps(w.add(p * n));
             let w1 = _mm256_loadu_ps(w.add(p * n + 8));
@@ -1364,6 +1391,11 @@ mod x86 {
         k: usize,
     ) {
         let mut acc = [[_mm512_setzero_ps(); V]; R];
+        for rr in 0..R {
+            for c in 0..V {
+                acc[rr][c] = _mm512_loadu_ps(z.add(rr * n + 16 * c));
+            }
+        }
         for p in 0..k {
             let mut wv = [_mm512_setzero_ps(); V];
             for (c, wc) in wv.iter_mut().enumerate() {
@@ -1401,6 +1433,9 @@ mod x86 {
     ) {
         let mut acc_a = [_mm256_setzero_ps(); R];
         let mut acc_b = [_mm256_setzero_ps(); R];
+        for rr in 0..R {
+            acc_a[rr] = _mm256_loadu_ps(z.add(rr * n));
+        }
         let mut p = 0;
         while p + 2 <= k {
             let w0 = _mm256_loadu_ps(w.add(p * n));
@@ -1573,6 +1608,10 @@ mod x86 {
     ) {
         let mut acc0 = [_mm_setzero_ps(); R];
         let mut acc1 = [_mm_setzero_ps(); R];
+        for rr in 0..R {
+            acc0[rr] = _mm_loadu_ps(z.add(rr * n));
+            acc1[rr] = _mm_loadu_ps(z.add(rr * n + 4));
+        }
         for p in 0..k {
             let w0 = _mm_loadu_ps(w.add(p * n));
             let w1 = _mm_loadu_ps(w.add(p * n + 4));
@@ -1606,6 +1645,9 @@ mod x86 {
         k: usize,
     ) {
         let mut acc = [_mm_setzero_ps(); R];
+        for rr in 0..R {
+            acc[rr] = _mm_loadu_ps(z.add(rr * n));
+        }
         for p in 0..k {
             let w0 = _mm_loadu_ps(w.add(p * n));
             for rr in 0..R {
@@ -2025,6 +2067,7 @@ pub(crate) mod tests {
                 let mut z = vec![0.0f32; rows * n];
                 linear_rows_lanes(
                     &a,
+                    k,
                     &w,
                     None,
                     crate::fused::Act::Identity,
@@ -2043,6 +2086,7 @@ pub(crate) mod tests {
                     let mut zt = vec![0.0f32; (rows - 1) * n];
                     linear_rows_lanes(
                         &a,
+                        k,
                         &w,
                         None,
                         crate::fused::Act::Identity,
@@ -2080,6 +2124,7 @@ pub(crate) mod tests {
             let mut y = vec![0.0f32; rows * n];
             linear_rows_lanes(
                 &a,
+                k,
                 &w,
                 Some(&bias),
                 crate::fused::Act::Silu,
@@ -2096,7 +2141,7 @@ pub(crate) mod tests {
             // Without an epilogue the bias-added pre-activation stays.
             let mut z = vec![0.0f32; rows * n];
             let id = crate::fused::Act::Identity;
-            linear_rows_lanes(&a, &w, Some(&bias), id, &mut z, None, 0, rows, k, n, isa);
+            linear_rows_lanes(&a, k, &w, Some(&bias), id, &mut z, None, 0, rows, k, n, isa);
             assert_bits_eq(&z, &zr, "linear z (bias)");
         }
     }

@@ -284,13 +284,13 @@ fn wide_tier_stays_within_tolerance_and_counts() {
         let w = mk(k, n, &mut state);
         let b = mk(1, n, &mut state).reshape(&[n]);
 
-        let (y_ref, d_ref) = linear(&x, &w, Some(&b), Act::Silu, Precision::F32);
+        let (y_ref, d_ref) = linear(&x, &w, Some(&b), Act::Silu, Precision::F32, None);
         let mm_ref = x.matmul(&w);
 
         let stats0 = matsciml_tensor::simd_stats();
-        let (y, d) = linear(&x, &w, Some(&b), Act::Silu, Precision::F16);
+        let (y, d) = linear(&x, &w, Some(&b), Act::Silu, Precision::F16, None);
         // The tape's matmul node: the identity forward of the same kernel.
-        let (mm, _) = linear(&x, &w, None, Act::Identity, Precision::F16);
+        let (mm, _) = linear(&x, &w, None, Act::Identity, Precision::F16, None);
         let stats1 = matsciml_tensor::simd_stats();
 
         // The saved SiLU derivative, from the wide tier's approximate
@@ -319,7 +319,7 @@ fn wide_tier_stays_within_tolerance_and_counts() {
         let _ = (stats0, stats1);
 
         // An f32 forward right after stays on the exact kernels.
-        let (y_again, _) = linear(&x, &w, Some(&b), Act::Silu, Precision::F32);
+        let (y_again, _) = linear(&x, &w, Some(&b), Act::Silu, Precision::F32, None);
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&y_again), bits(&y_ref), "f32 forward after an f16 one changed bits");
     }

@@ -532,6 +532,7 @@ impl Trainer {
                 steps: cfg.steps,
                 seed: cfg.seed,
                 simd_isa: matsciml_tensor::simd_isa().to_string(),
+                threads: rayon::current_num_threads() as u64,
                 config: Json::snapshot(cfg).unwrap_or_else(|_| Json::null()),
             }));
         }

@@ -68,6 +68,9 @@ fn two_rank_run_record_validates_and_replays() {
     // The lane tier is recorded, and it is the one the kernels used.
     assert_eq!(start.simd_isa, matsciml_tensor::simd_isa());
     assert!(["avx512", "avx2", "sse", "off"].contains(&start.simd_isa.as_str()));
+    // So is the size of the worker pool the parallel kernels ran on.
+    assert_eq!(start.threads, rayon::current_num_threads() as u64);
+    assert!(start.threads >= 1);
     // The config snapshot embeds the full TrainConfig.
     assert!(start.config.get("gamma").is_some(), "config snapshot carries TrainConfig fields");
 

@@ -67,21 +67,24 @@ impl Graph {
     /// the tape's precision ([`Graph::set_precision`]).
     ///
     /// When `x` is an [`Graph::edge_concat`] node, whose rows begin with
-    /// `h[src[e]]`, and there are more edges than nodes, the forward hands
-    /// [`fused::linear`] that source half, so the `h[src] · w` part of
-    /// every row is computed once per node and gathered (same bits). At
-    /// hidden 256 the split measured 0.71× the unsplit layer at 3.4 edges
-    /// per node, 1.015× at one edge per node and 1.43× at one per two,
-    /// hence the `edges > nodes` gate. The tape records the same node
-    /// either way, and the backward does not change.
+    /// `h[src[e]]`, and [`fused::source_split_pays`] for its shape, the
+    /// forward hands [`fused::linear`] that source half, so the
+    /// `h[src] · w` part of every row is computed once per node and
+    /// gathered (same bits). The rule weighs the saved multiply-adds
+    /// against the gather, so it needs more edges per node at small
+    /// widths: at the benchmark's ≈ 3.6 edges per node the layer measured
+    /// 0.97× the unsplit one at hidden 16, 0.79× at 64 and 0.71× at 256.
+    /// The tape records the same node either way, and the backward does
+    /// not change.
     pub fn linear(&mut self, x: Var, w: Var, b: Option<Var>, act: Act) -> Var {
         let (y, dact) = {
             let vx = self.value(x);
             let vw = self.value(w);
             let vb = b.map(|bv| self.value(bv));
             let source = match &self.nodes[x.0].op {
-                Op::EdgeConcat { h, src, .. } if src.len() > self.value(*h).rows() => {
-                    Some((self.value(*h), src.as_slice()))
+                Op::EdgeConcat { h, src, .. } => {
+                    let h = self.value(*h);
+                    fused::source_split_pays(h.rows(), src.len(), h.cols()).then_some((h, src.as_slice()))
                 }
                 _ => None,
             };

@@ -237,12 +237,16 @@ fn zero_edge_fused_ops_are_well_defined() {
 #[test]
 fn linear_over_edge_concat_matches_linear_over_a_leaf_bitwise() {
     use matsciml_tensor::Act;
-    for (rel, e, nodes) in [(true, 23usize, 7usize), (false, 11, 5), (true, 3, 6)] {
+    // Hidden 16: the first two shapes take the split, the third (E < N)
+    // does not.
+    let hd = 16;
+    for (rel, e, nodes, split) in [(true, 23usize, 7usize, true), (false, 11, 5, true), (true, 3, 6, false)] {
+        assert_eq!(matsciml_tensor::fused::source_split_pays(nodes, e, hd), split, "E {e} N {nodes}");
         let (src, dst) = edge_lists(e, nodes);
-        let mut h0 = seeded(&[nodes, 6], 13);
+        let mut h0 = seeded(&[nodes, hd], 13);
         h0.as_mut_slice().iter_mut().step_by(4).for_each(|v| *v = -0.0);
         let x0 = seeded(&[nodes, 3], 14);
-        let k = if rel { 13 } else { 12 };
+        let k = 2 * hd + usize::from(rel);
         let (w0, b0) = (seeded(&[k, 9], 15), seeded(&[9], 16));
 
         let mut ga = Graph::new();

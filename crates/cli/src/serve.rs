@@ -18,9 +18,10 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use matsciml::obs::{Event, Json, RunStartEvent, SummaryEvent, SCHEMA};
 use matsciml::prelude::*;
@@ -226,6 +227,15 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
 /// cannot grow the handler's buffer without bound.
 pub const MAX_REQUEST_LINE_BYTES: usize = 4 << 20;
 
+/// After the over-long-line error, the handler half-closes the
+/// connection and reads and discards what the client still sends, for at
+/// most this long and this many bytes, before it drops the socket.
+/// Dropping a socket with unread input sends a reset, which would fail a
+/// client still writing its line before it reads the error.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
+/// See [`DRAIN_TIMEOUT`].
+const MAX_DRAIN_BYTES: usize = 64 << 20;
+
 /// Serve one client connection: requests in, responses out, line by line.
 fn handle_connection(
     conn: TcpStream,
@@ -252,6 +262,8 @@ fn handle_connection(
         } else if buf.len() > MAX_REQUEST_LINE_BYTES {
             let error = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes; closing the connection");
             send(&mut writer, &WireResponse::err(None, error))?;
+            writer.shutdown(Shutdown::Write)?;
+            drain(&mut reader);
             break;
         }
         let (response, shutdown) = match std::str::from_utf8(&buf) {
@@ -268,6 +280,24 @@ fn handle_connection(
         }
     }
     Ok(())
+}
+
+/// Read and discard the client's remaining input until it closes its
+/// side, [`DRAIN_TIMEOUT`] passes or [`MAX_DRAIN_BYTES`] are read.
+fn drain(reader: &mut BufReader<TcpStream>) {
+    let deadline = Instant::now() + DRAIN_TIMEOUT;
+    let mut chunk = vec![0u8; 64 << 10];
+    let mut drained = 0;
+    while drained < MAX_DRAIN_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || reader.get_ref().set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match reader.read(&mut chunk) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 /// Write one response line.

@@ -65,11 +65,12 @@ fn an_over_long_line_closes_its_connection_and_the_next_client_is_served() {
     let child = cli(&args, &dir).stdout(Stdio::null()).stderr(Stdio::null()).spawn().unwrap();
     let mut server = Server(child);
 
-    // One byte past the cap and no newline: the server reads exactly
-    // that much, answers, and closes.
-    {
+    // One byte past the cap, and a full MiB past it, with no newline: a
+    // client that writes everything before it reads still gets the error
+    // line, then the end of the stream (not a reset).
+    for over in [1, 1 << 20] {
         let mut greedy = connect(&addr);
-        greedy.write_all(&vec![b' '; MAX_REQUEST_LINE_BYTES + 1]).unwrap();
+        greedy.write_all(&vec![b' '; MAX_REQUEST_LINE_BYTES + over]).unwrap();
         let mut reader = BufReader::new(greedy);
         let mut reply = String::new();
         reader.read_line(&mut reply).unwrap();

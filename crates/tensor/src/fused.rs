@@ -167,6 +167,23 @@ const NJ: usize = 8;
 /// holds.
 const MR: usize = 4;
 
+/// Multiply-adds one gathered prefix element costs in [`linear`]'s
+/// source-half split (the `[nodes, n]` node gemm's extra pass, the
+/// `[m, n]` gather and their buffers), as measured: the split and the
+/// unsplit forward break even near `E/N = H/(H − 8)` at hidden 16 to 256
+/// (EXPERIMENTS.md, "φ_e's source half once per node").
+const SPLIT_MACS_PER_GATHERED: usize = 8;
+
+/// Whether [`linear`]'s `source` split is worth taking for `edges` rows
+/// that begin with a `width`-wide row of `h: [nodes, width]`: it saves
+/// `(edges − nodes) · width · n` multiply-adds and gathers `edges · n`
+/// prefix elements, so it pays when `(edges − nodes) · width` exceeds
+/// [`SPLIT_MACS_PER_GATHERED`]` · edges`. A shape-only rule: the bits are
+/// the same either way.
+pub fn source_split_pays(nodes: usize, edges: usize, width: usize) -> bool {
+    edges.saturating_sub(nodes) * width > SPLIT_MACS_PER_GATHERED * edges
+}
+
 /// Fused linear forward: `z = x @ w (+ bias)`, `y = act(z)`.
 ///
 /// Shapes: `x: [m, k]`, `w: [k, n]`, `bias: [n]`. Returns `(y, dact)`:
@@ -189,7 +206,8 @@ const MR: usize = 4;
 /// P[src[e]]`, and the edge gemm continues each chain from that prefix
 /// over `x[:, hk..]` and `w[hk..]`. Each element adds the same terms in
 /// the same order, so the bits equal the unsplit forward's on every
-/// tier; the split saves `(m − nodes) · hk · n` multiply-adds.
+/// tier; the split saves `(m − nodes) · hk · n` multiply-adds, and
+/// [`source_split_pays`] says when that outweighs the gather.
 pub fn linear(
     x: &Tensor,
     w: &Tensor,

@@ -178,8 +178,8 @@ const SPLIT_MACS_PER_GATHERED: usize = 8;
 /// that begin with a `width`-wide row of `h: [nodes, width]`: it saves
 /// `(edges − nodes) · width · n` multiply-adds and gathers `edges · n`
 /// prefix elements, so it pays when `(edges − nodes) · width` exceeds
-/// [`SPLIT_MACS_PER_GATHERED`]` · edges`. A shape-only rule: the bits are
-/// the same either way.
+/// `SPLIT_MACS_PER_GATHERED · edges` (eight multiply-adds per gathered
+/// element). A shape-only rule: the bits are the same either way.
 pub fn source_split_pays(nodes: usize, edges: usize, width: usize) -> bool {
     edges.saturating_sub(nodes) * width > SPLIT_MACS_PER_GATHERED * edges
 }
